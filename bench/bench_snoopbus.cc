@@ -16,7 +16,7 @@
  *    replays — this bench alone replays each capture four times) and
  *    replayed through SmpSystem::run() at snoopBuses in {1, 2, 4}:
  *    nextBatch() delivery, the inlined L1 fast path, the single-lookup
- *    snoop route, and the per-bus deferred filter-bank replay.
+ *    snoop route, and the deferred filter-bank replay.
  *
  * For decomposition honesty the JSON also reports `scalar_replay` — the
  *  scalar delivery loop over the materialized trace — separating the
@@ -29,9 +29,9 @@
  *    which also proves the materialized capture delivers exactly the
  *    synthesized stream;
  *  - snoopBuses in {2, 4}: machine state (L1/L2/WB snapshots) and
- *    architectural statistics bit-identical to the single-bus run, with
- *    zero filter safety violations and per-bus transaction counts that
- *    sum to the single-bus total.
+ *    every statistic (architectural and per-filter) bit-identical to
+ *    the single-bus run, with per-bus transaction counts that sum to
+ *    the single-bus total.
  *
  * Writes BENCH_snoopbus.json (field reference in DESIGN.md); --smoke
  * shrinks the run for CI and skips the file unless --out is given.
@@ -146,11 +146,11 @@ runBatched(sim::SmpSystem &sys, const Traces &traces)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Every architectural counter of two runs must agree exactly;
- *  @p andFilters additionally requires bit-identical filter stats. */
+/** Every architectural and per-filter counter of two runs must agree
+ *  exactly. */
 void
 requireIdentical(const sim::SmpSystem &a, const sim::SmpSystem &b,
-                 const std::string &what, bool andFilters)
+                 const std::string &what)
 {
     const auto x = a.stats().aggregate();
     const auto y = b.stats().aggregate();
@@ -175,8 +175,6 @@ requireIdentical(const sim::SmpSystem &a, const sim::SmpSystem &b,
         const auto fb = b.mergedFilterStats(f);
         if (fa.safetyViolations != 0 || fb.safetyViolations != 0)
             fatal("bench_snoopbus: " + what + " saw a safety violation");
-        if (!andFilters)
-            continue;
         if (fa.probes != fb.probes || fa.filtered != fb.filtered ||
             fa.wouldMiss != fb.wouldMiss ||
             fa.filteredWouldMiss != fb.filteredWouldMiss ||
@@ -265,8 +263,7 @@ measure(const trace::AppProfile &profile, double scale, unsigned repeats,
     }
     m.scalarReplaySeconds = medianInPlace(replay_times);
     requireIdentical(scalar_sys, *scalar_replay_sys,
-                     profile.abbrev + " synthesized vs replayed scalar",
-                     /*andFilters=*/true);
+                     profile.abbrev + " synthesized vs replayed scalar");
 
     std::unique_ptr<sim::SmpSystem> one_bus;
     for (const unsigned buses : busCounts) {
@@ -294,14 +291,12 @@ measure(const trace::AppProfile &profile, double scale, unsigned repeats,
         // Correctness gates (DESIGN.md: split-bus determinism contract).
         if (buses == 1) {
             requireIdentical(scalar_sys, *kept,
-                             profile.abbrev + " scalar vs batched(1 bus)",
-                             /*andFilters=*/true);
+                             profile.abbrev + " scalar vs batched(1 bus)");
             one_bus = std::move(kept);
         } else if (one_bus) {
             requireIdentical(*one_bus, *kept,
                              profile.abbrev + " 1 bus vs " +
-                                 std::to_string(buses) + " buses",
-                             /*andFilters=*/false);
+                                 std::to_string(buses) + " buses");
         }
         m.rows.push_back(std::move(row));
     }

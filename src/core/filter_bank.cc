@@ -8,11 +8,8 @@ namespace jetty::filter
 {
 
 FilterBank::FilterBank(const std::vector<std::string> &specs,
-                       const AddressMap &amap, bool checkSafety,
-                       unsigned snoopBuses)
-    : amap_(amap), checkSafety_(checkSafety),
-      snoopBuses_(snoopBuses >= 1 ? snoopBuses : 1),
-      busQueues_(snoopBuses_)
+                       const AddressMap &amap, bool checkSafety)
+    : checkSafety_(checkSafety)
 {
     filters_.reserve(specs.size());
     for (const auto &spec : specs)
@@ -24,7 +21,7 @@ void
 FilterBank::observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
 {
     if (deferred_) {
-        deferSnoop(homeBusOf(unitAddr), unitAddr, unitInL2, blockInL2);
+        deferSnoop(unitAddr, unitInL2, blockInL2);
         return;
     }
 
@@ -107,13 +104,9 @@ FilterBank::endDeferred()
 void
 FilterBank::flushDeferred()
 {
-    // Bus-major replay: each filter sees bus 0's events first, then bus
-    // 1's, each queue in capture order — the deterministic cross-bus
-    // order the split-bus contract documents (DESIGN.md); with one bus
-    // this is the original total order. The filter loop is outermost so
-    // one filter's arrays stay hot across every bus queue of the flush
-    // (filters are independent, so this ordering is result-identical to
-    // flushing queue by queue).
+    // The filter loop is outermost so one filter's arrays stay hot
+    // across the whole queue (filters are independent, so this is
+    // result-identical to applying each event to every filter in turn).
     if (!prepareFlush())
         return;
     for (std::size_t i = 0; i < filters_.size(); ++i)
@@ -124,14 +117,7 @@ FilterBank::flushDeferred()
 bool
 FilterBank::prepareFlush()
 {
-    bool any = false;
-    for (const auto &queue : busQueues_) {
-        if (!queue.empty()) {
-            any = true;
-            break;
-        }
-    }
-    if (!any)
+    if (queue_.empty())
         return false;
     violationsBefore_.resize(stats_.size());
     for (std::size_t i = 0; i < stats_.size(); ++i)
@@ -144,15 +130,13 @@ FilterBank::replayOne(std::size_t filterIdx)
 {
     FilterStats &st = stats_[filterIdx];
     SnoopFilter *const f = filters_[filterIdx].get();
-    for (const auto &queue : busQueues_) {
-        queue.forEachRun([&](const BankEvent *evs, std::size_t n) {
-            // Pull the run's tail toward the cache while the head
-            // replays; each 64 B line holds four 16 B events.
-            for (std::size_t off = 0; off < n; off += 64 / sizeof(BankEvent))
-                simd::prefetchRead(evs + off);
-            f->applyBatch(evs, n, st);
-        });
-    }
+    queue_.forEachRun([&](const BankEvent *evs, std::size_t n) {
+        // Pull the run's tail toward the cache while the head replays;
+        // each 64 B line holds four 16 B events.
+        for (std::size_t off = 0; off < n; off += 64 / sizeof(BankEvent))
+            simd::prefetchRead(evs + off);
+        f->applyBatch(evs, n, st);
+    });
 }
 
 void
@@ -166,30 +150,14 @@ FilterBank::completeFlush()
             }
         }
     }
-    for (auto &queue : busQueues_)
-        queue.clear();
-}
-
-void
-FilterBank::observeSnoopBatch(const BankEvent *evs, std::size_t n)
-{
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-        FilterStats &st = stats_[i];
-        const std::uint64_t violations_before = st.safetyViolations;
-        filters_[i]->applyBatch(evs, n, st);
-        if (checkSafety_ && st.safetyViolations != violations_before) {
-            panic("JETTY safety violation: " + filters_[i]->name() +
-                  " filtered a snoop to a cached unit");
-        }
-    }
+    queue_.clear();
 }
 
 void
 FilterBank::unitFilled(Addr unitAddr)
 {
     if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push(
-            {unitAddr, BankEvent::Kind::Fill, false, false});
+        queue_.push({unitAddr, BankEvent::Kind::Fill, false, false});
         return;
     }
     for (std::size_t i = 0; i < filters_.size(); ++i) {
@@ -202,8 +170,7 @@ void
 FilterBank::unitEvicted(Addr unitAddr)
 {
     if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push(
-            {unitAddr, BankEvent::Kind::Evict, false, false});
+        queue_.push({unitAddr, BankEvent::Kind::Evict, false, false});
         return;
     }
     for (std::size_t i = 0; i < filters_.size(); ++i) {

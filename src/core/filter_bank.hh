@@ -60,13 +60,9 @@ class FilterBank : public mem::CacheEventListener
      * @param checkSafety verify the "never filter a cached unit" guarantee
      *                    against ground truth (panics on violation when
      *                    true; counts violations either way).
-     * @param snoopBuses  logical snoop buses of the interconnect the
-     *                    bank's node sits on: deferred events are queued
-     *                    (and later replayed) per home bus. 1 keeps the
-     *                    classic single-queue behaviour.
      */
     FilterBank(const std::vector<std::string> &specs, const AddressMap &amap,
-               bool checkSafety = true, unsigned snoopBuses = 1);
+               bool checkSafety = true);
 
     /**
      * Present one snoop to every filter.
@@ -80,27 +76,24 @@ class FilterBank : public mem::CacheEventListener
     // ---- The deferred (batched) observation path --------------------
     //
     // The simulation hot loop defers filter work: snoops and the L2's
-    // fill/evict notifications are queued per home snoop bus (the same
-    // block interleave the interconnect routes transactions by), and a
-    // chunk-end flush replays every queue through each filter in one
-    // batched pass. Per bus the replay order is exactly the capture
-    // order, and all events of one L2 block share a bus, so every
-    // block-granular (EJ/VEJ entries, IJ slices) or counting (IJ, RF)
-    // structure sees a per-structure totally ordered stream — the
-    // no-false-negative guarantee survives deferral for any bus count,
-    // and with one bus the replay is the original total order, making
-    // the deferred path bit-identical to immediate observation.
+    // fill/evict notifications are queued in capture order — the order
+    // immediate observation would have applied them — and a chunk-end
+    // flush replays the queue through each filter in one batched pass.
+    // Every filter therefore sees exactly the stream it would have seen
+    // immediately, so the deferred path is bit-identical to immediate
+    // observation at any snoop-bus count, and the no-false-negative
+    // guarantee carries over unchanged.
 
     /** Enter deferred mode: observeSnoop and the L2 listener hooks queue
      *  instead of applying. Requires no probe observer (the instrumented
      *  paths stay immediate). */
     void beginDeferred();
 
-    /** Replay all queued events (bus-major) and leave deferred mode. */
+    /** Replay all queued events and leave deferred mode. */
     void endDeferred();
 
-    /** Replay all queued events bus-major, staying deferred. Panics on a
-     *  safety violation when the bank checks safety. */
+    /** Replay all queued events, staying deferred. Panics on a safety
+     *  violation when the bank checks safety. */
     void flushDeferred();
 
     // ---- The split flush, for parallel replay -----------------------
@@ -108,43 +101,32 @@ class FilterBank : public mem::CacheEventListener
     // flushDeferred() is prepareFlush() + replayOne(i) for every filter
     // + completeFlush(). The filters of a bank are independent (each
     // replayOne touches only filters_[i], stats_[i] and the read-only
-    // queues), so a dispatcher may run the replayOne calls concurrently;
+    // queue), so a dispatcher may run the replayOne calls concurrently;
     // the safety-panic decision is taken in completeFlush() in filter
     // order, keeping the failure report deterministic regardless of the
     // replay schedule. Results are bit-identical to flushDeferred() for
     // any schedule because no replayed state is shared between tasks.
 
-    /** Snapshot per-filter violation counters and report whether any
+    /** Snapshot per-filter violation counters and report whether the
      *  queue holds events (false: nothing to replay, skip the rest). */
     bool prepareFlush();
 
-    /** Replay every bus queue (bus-major) through filter @p filterIdx.
+    /** Replay the queue through filter @p filterIdx.
      *  Thread-safe across distinct @p filterIdx values. */
     void replayOne(std::size_t filterIdx);
 
-    /** Check safety (panic in filter order) and clear the queues. */
+    /** Check safety (panic in filter order) and clear the queue. */
     void completeFlush();
 
-    /** In deferred mode, queue one snoop with its captured ground truth.
-     *  @p busId must be the unit's home bus. */
+    /** In deferred mode, queue one snoop with its captured ground truth. */
     void
-    deferSnoop(unsigned busId, Addr unitAddr, bool unitInL2, bool blockInL2)
+    deferSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
     {
-        busQueues_[busId].push(
-            {unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
+        queue_.push({unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
     }
 
     /** Whether the bank is currently queueing. */
     bool deferred() const { return deferred_; }
-
-    /**
-     * Replay one pre-grouped event run through every filter via the
-     * per-filter batched probe path (SnoopFilter::applyBatch). The
-     * events must share a home bus (or the bank must have one bus);
-     * flushDeferred() is the usual caller, but the verification suite
-     * replays hand-built runs directly.
-     */
-    void observeSnoopBatch(const BankEvent *evs, std::size_t n);
 
     // CacheEventListener
     void unitFilled(Addr unitAddr) override;
@@ -173,28 +155,16 @@ class FilterBank : public mem::CacheEventListener
   private:
     std::vector<SnoopFilterPtr> filters_;
     std::vector<FilterStats> stats_;
-    AddressMap amap_;
     bool checkSafety_;
     FilterProbeObserver *probeObserver_ = nullptr;
     ProcId owner_ = 0;
 
-    /** Home bus of @p unitAddr — must agree with Interconnect::busOf
-     *  (the one other statement of the interleave in sim/), which the
-     *  CheckerSuite's bus-routing invariant cross-checks online. */
-    unsigned
-    homeBusOf(Addr unitAddr) const
-    {
-        return static_cast<unsigned>(
-            (unitAddr >> amap_.blockOffsetBits) % snoopBuses_);
-    }
-
     bool deferred_ = false;
-    unsigned snoopBuses_ = 1;
-    /** [bus] -> captured events, in chunked arena storage: the flush /
-     *  refill cycle reuses the chunks, so steady-state deferral does no
-     *  allocator work, and each chunk is a contiguous cache-line-aligned
-     *  run the batched applyBatch streams over. */
-    std::vector<util::ArenaQueue<BankEvent>> busQueues_;
+    /** Captured events in capture order, in chunked arena storage: the
+     *  flush / refill cycle reuses the chunks, so steady-state deferral
+     *  does no allocator work, and each chunk is a contiguous
+     *  cache-line-aligned run the batched applyBatch streams over. */
+    util::ArenaQueue<BankEvent> queue_;
     /** prepareFlush()'s per-filter safetyViolations snapshot. */
     std::vector<std::uint64_t> violationsBefore_;
 };

@@ -106,11 +106,11 @@ struct FilterStats
 
 /**
  * One deferred filter-bank event (core/filter_bank.hh). The batched
- * simulation hot path queues these per logical snoop bus instead of
- * walking every filter on every snoop; FilterBank::observeSnoopBatch
- * later replays a queue through each filter in one pass. Snoop events
- * carry their ground truth *as captured at snoop time*, so the deferred
- * safety check judges every verdict against the true cache state.
+ * simulation hot path queues these in capture order instead of walking
+ * every filter on every snoop; FilterBank::flushDeferred later replays
+ * the queue through each filter in one pass. Snoop events carry their
+ * ground truth *as captured at snoop time*, so the deferred safety
+ * check judges every verdict against the true cache state.
  */
 struct BankEvent
 {
@@ -297,7 +297,7 @@ class SnoopFilter
     /**
      * Replay a run of deferred bank events through this filter,
      * accumulating into @p st — the batched-probe path behind
-     * FilterBank::observeSnoopBatch. The base implementation walks the
+     * FilterBank::flushDeferred. The base implementation walks the
      * events through the virtual probe/onSnoopMiss/onFill/onEvict hooks
      * with exactly the bookkeeping of FilterBank::observeSnoop, so every
      * family is batch-correct by construction; hot families (EJ, IJ)

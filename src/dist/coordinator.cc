@@ -328,11 +328,6 @@ Coordinator::handleLine(std::size_t w)
         out_->diskHits += resp.diskHits;
         out_->memHits += resp.memHits;
     }
-    if (ledger_.isOpen()) {
-        const std::string lerr = ledger_.publish(keys_[s], resp);
-        if (!lerr.empty())
-            warn("dist: ledger publish failed: " + lerr);
-    }
     ShardEvent ev;
     ev.type = "completed";
     ev.shardId = s;
@@ -372,27 +367,8 @@ Coordinator::run(const api::ExperimentSpec &spec, CampaignResult &out)
     }
     table_ = std::make_unique<MergeTable>(keys_);
 
-    if (!cfg_.ledgerDir.empty()) {
-        const std::string lerr = ledger_.open(cfg_.ledgerDir);
-        if (!lerr.empty())
-            return lerr;
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-        ShardResponse resumed;
-        if (ledger_.isOpen() && ledger_.lookup(keys_[s], resumed) &&
-            resumed.ok && table_->apply(resumed, nullptr).empty()) {
-            shards_[s].done = true;
-            ++out.resumed;
-            ShardEvent ev;
-            ev.type = "resumed";
-            ev.shardId = s;
-            ev.wallSeconds = resumed.wallSeconds;
-            ev.detail = "loaded from ledger " + ledger_.dir();
-            emit(std::move(ev));
-            continue;
-        }
+    for (std::size_t s = 0; s < n; ++s)
         pending_.push_back(s);
-    }
 
     for (unsigned i = 0; i < cfg_.spawnWorkers; ++i) {
         std::string serr;

@@ -19,17 +19,15 @@
  *    time including mid-shard) or an ok=false response re-queues the
  *    shard, up to `maxRetries` failures per shard; the factory (when
  *    provided) respawns up to `maxRespawns` replacement workers.
- *  - **Resume ledger**: with `ledgerDir` set, every completed shard is
- *    journaled atomically (dist/ledger.hh); a later campaign over the
- *    same spec loads finished cells from the ledger without
- *    dispatching them ("resumed" events). Disk-tier RunCache entries
- *    complement this: a re-dispatched cell that is already in the
- *    shared cache answers as a disk hit, not a re-simulation.
+ *  - **Resume**: every cell a worker finishes lands in the workers'
+ *    shared disk-tier RunCache, so rerunning an interrupted campaign
+ *    against the same cache directory re-dispatches every shard but
+ *    answers the finished ones as disk hits, not re-simulations.
  *  - **Observability**: every state change emits a structured
  *    ShardEvent (assigned / started / completed / stolen / retried /
- *    resumed / duplicate / worker_died) with wall time and
- *    simulated-vs-cache-hit counters, streamed to `eventSink` and
- *    collected on the CampaignResult.
+ *    duplicate / worker_died) with wall time and simulated-vs-cache-hit
+ *    counters, streamed to `eventSink` and collected on the
+ *    CampaignResult.
  */
 
 #ifndef JETTY_DIST_COORDINATOR_HH
@@ -45,7 +43,6 @@
 #include <vector>
 
 #include "api/experiment_spec.hh"
-#include "dist/ledger.hh"
 #include "dist/shard.hh"
 #include "service/protocol.hh"
 #include "util/json.hh"
@@ -57,7 +54,7 @@ namespace jetty::dist
 struct ShardEvent
 {
     std::string type;  //!< assigned/started/completed/stolen/retried/
-                       //!< resumed/duplicate/worker_died
+                       //!< duplicate/worker_died
     std::uint64_t shardId = 0;
     std::uint64_t attempt = 0;
     int worker = -1;   //!< worker index (-1 when not worker-bound)
@@ -92,9 +89,6 @@ struct CoordinatorConfig
      *  (<= 0 disables stealing). */
     double stealAfterSeconds = 30.0;
 
-    /** Resume ledger directory ("" = no ledger). */
-    std::string ledgerDir;
-
     /** Workers to obtain from the factory before dispatching. */
     unsigned spawnWorkers = 0;
 
@@ -122,7 +116,6 @@ struct CampaignResult
     std::uint64_t simulated = 0;
     std::uint64_t diskHits = 0;
     std::uint64_t memHits = 0;
-    std::uint64_t resumed = 0;
     std::uint64_t stolen = 0;
     std::uint64_t retried = 0;
     std::uint64_t duplicates = 0;
@@ -214,7 +207,6 @@ class Coordinator
     std::vector<json::Value> shardSpecs_;
     std::deque<std::size_t> pending_;
     std::unique_ptr<MergeTable> table_;
-    Ledger ledger_;
     CampaignResult *out_ = nullptr;
     unsigned respawnsUsed_ = 0;
     std::string fail_;  //!< first unrecoverable campaign error

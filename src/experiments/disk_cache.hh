@@ -40,7 +40,7 @@ namespace jetty::experiments
 
 /** Entry-format version; bump when AppRunResult serialization or the
  *  simulator's semantics change so stale entries read as misses. */
-constexpr std::uint64_t kDiskCacheVersion = 1;
+constexpr std::uint64_t kDiskCacheVersion = 2;
 
 /** Default byte budget for LRU eviction (overridable via
  *  JETTY_CACHE_BYTES or RunCache::setDiskBudget). */

@@ -653,11 +653,13 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
         // runMany call in the process (SweepRunner's pool is built to be
         // reused); an explicit jobs override gets a dedicated runner,
         // capped at the batch size so a small batch doesn't spawn a
-        // large pool it cannot feed.
+        // large pool it cannot feed. The shared runner is deliberately
+        // leaked: exit-time destruction would join pool threads, which a
+        // forked child (a death-test child calling fatal()) never had.
         std::vector<sim::SweepResult> results;
         if (jobs == 0) {
-            static sim::SweepRunner shared;
-            results = shared.run(sweepJobs);
+            static sim::SweepRunner *const shared = new sim::SweepRunner;
+            results = shared->run(sweepJobs);
         } else {
             sim::SweepRunner runner(static_cast<unsigned>(
                 std::min<std::size_t>(jobs, sweepJobs.size())));

@@ -10,21 +10,15 @@
  * coherence outcome is independent of the bus count (asserted against
  * the golden model for snoopBuses in {1, 2, 4}).
  *
- * What the bus count *does* change:
- *  - per-bus occupancy statistics (SimStats::perBus /
- *    busSnoopTagProbes), the input of the latency model's contention
- *    term and the accountant's per-bus snoop energy split;
- *  - the order in which the deferred filter banks replay their snoop
- *    observations (FilterBank::flushDeferred applies queues bus-major),
- *    so per-filter *coverage* may shift with the bus count while the
- *    safety guarantee is untouched (DESIGN.md, "Interconnect & snoop
- *    batching").
+ * What the bus count *does* change: per-bus occupancy statistics
+ * (SimStats::perBus / busSnoopTagProbes), the input of the latency
+ * model's contention term and the accountant's per-bus snoop energy
+ * split. Filter statistics do not move: the deferred filter banks
+ * replay in capture order, whatever the bus count.
  *
- * The interleave granularity is the L2 *block*: every filter-visible
- * structure (EJ/VEJ block entries, IJ block-address slices, sibling
- * subblocks sharing a tag) is block-indexed, so routing whole blocks to
- * one bus keeps each structure's update stream totally ordered. The
- * routing function is busOf(): for a unit address U,
+ * The interleave granularity is the L2 *block*, so sibling subblocks
+ * sharing a tag always serialize on one bus. The routing function is
+ * busOf(): for a unit address U,
  * bus = (U >> blockOffsetBits) % snoopBuses — deterministic, checked
  * online by the CheckerSuite's bus-routing invariant and offline
  * against GoldenSmp's independently restated interleave.

@@ -59,7 +59,7 @@ SmpSystem::SmpSystem(const SmpConfig &cfg)
         node->l2 = std::make_unique<mem::L2Cache>(cfg.l2);
         node->wb = std::make_unique<mem::WritebackBuffer>(cfg.wbEntries);
         node->bank = std::make_unique<filter::FilterBank>(
-            cfg.filterSpecs, amap, cfg.checkSafety, cfg.snoopBuses);
+            cfg.filterSpecs, amap, cfg.checkSafety);
         node->l2->addListener(node->bank.get());
         nodes_.push_back(std::move(node));
     }
@@ -76,7 +76,7 @@ SmpSystem::flushAllBanks()
         return;
     }
     // Parallel replay over independent (node, filter) tasks. Each task
-    // replays one bank's bus queues through one filter, bus-major —
+    // replays one bank's queue through one filter, in capture order —
     // exactly the sequential flush's work unit — touching only that
     // filter and its stats slot, so any schedule yields the sequential
     // result. prepareFlush snapshots the violation counters up front;
@@ -181,14 +181,13 @@ SmpSystem::run()
     //  chunk-local deltas folded bus-major at the chunk boundary.
     //
     // The filter banks run deferred throughout: every snoop observation
-    // and L2 fill/evict notification is queued per home snoop bus and
+    // and L2 fill/evict notification is queued in capture order and
     // replayed through the per-filter batched probe path at chunk
-    // boundaries (FilterBank::flushDeferred). Both routes make
-    // identical coherence state changes, so run(), step()-driven loops,
-    // and every batchRefs value produce bit-identical statistics (and
-    // with snoopBuses == 1 the deferred replay is the exact
-    // immediate-observation order, making the filter numbers
-    // bit-identical too).
+    // boundaries (FilterBank::flushDeferred). The replay applies each
+    // bank's events in exactly the order immediate observation would,
+    // so run(), step()-driven loops, and every batchRefs and
+    // snoopBuses value produce bit-identical statistics, filter
+    // numbers included.
     const unsigned nprocs = static_cast<unsigned>(nodes_.size());
     const Addr unit_mask = ~(static_cast<Addr>(cfg_.l2.unitBytes()) - 1);
 
@@ -598,7 +597,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
 
             mem::L2LookupResult probe_res;
             const int way = node.l2->probeWay(unitAddr, probe_res);
-            node.bank->deferSnoop(bus, unitAddr, probe_res.unitValid,
+            node.bank->deferSnoop(unitAddr, probe_res.unitValid,
                                   probe_res.tagMatch);
 
             ++qs.snoopTagProbes;

@@ -65,10 +65,9 @@ struct SmpConfig
      * Any value leaves the coherence outcome (caches, write-back
      * buffers, architectural statistics) untouched — all transactions
      * for one unit serialize on its home bus — and only changes the
-     * per-bus occupancy stats, the latency model's contention input,
-     * and the bus-major order in which deferred filter banks replay
-     * their observations (per-filter coverage may shift for
-     * snoopBuses > 1; safety never does).
+     * per-bus occupancy stats and the latency model's contention input.
+     * Filter statistics do not depend on it: the banks replay in
+     * capture order at any bus count.
      */
     unsigned snoopBuses = 1;
 
@@ -76,11 +75,11 @@ struct SmpConfig
      * Total threads (including the simulation thread) the chunk-end
      * filter replay of run() may use. 1 keeps the replay sequential.
      * The replay parallelizes over independent (node, filter) tasks —
-     * each task replays its bank's bus queues bus-major, exactly as the
-     * sequential flush does, and the safety-panic decision is taken
+     * each task replays its bank's queue in capture order, exactly as
+     * the sequential flush does, and the safety-panic decision is taken
      * after the join in deterministic (node, filter) order — so every
-     * simulated number is bit-identical for every value, at any bus
-     * count; like batchRefs this is purely a wall-clock knob.
+     * simulated number is bit-identical for every value; like batchRefs
+     * this is purely a wall-clock knob.
      */
     unsigned replayThreads = 1;
 

@@ -252,6 +252,31 @@ sourcesFor(const TraceSet &traces)
     return sources;
 }
 
+/** The first counter on which two runs' merged stats of one filter
+ *  differ, as "name a vs b"; empty when every counter agrees. */
+std::string
+diffFilterStats(const filter::FilterStats &a, const filter::FilterStats &b)
+{
+    using Field = std::uint64_t filter::FilterStats::*;
+    static const std::pair<const char *, Field> fields[] = {
+        {"probes", &filter::FilterStats::probes},
+        {"filtered", &filter::FilterStats::filtered},
+        {"wouldMiss", &filter::FilterStats::wouldMiss},
+        {"filteredWouldMiss", &filter::FilterStats::filteredWouldMiss},
+        {"snoopAllocs", &filter::FilterStats::snoopAllocs},
+        {"fillUpdates", &filter::FilterStats::fillUpdates},
+        {"evictUpdates", &filter::FilterStats::evictUpdates},
+        {"safetyViolations", &filter::FilterStats::safetyViolations},
+    };
+    for (const auto &[name, field] : fields) {
+        if (a.*field != b.*field) {
+            return std::string(name) + " " + std::to_string(a.*field) +
+                   " vs " + std::to_string(b.*field);
+        }
+    }
+    return "";
+}
+
 } // namespace
 
 std::string
@@ -317,7 +342,8 @@ TraceFuzzer::checkOnce(const sim::SmpConfig &system, const TraceSet &traces,
     }
 
     // Pass 3: the batched hot path with hooks unset must land on the
-    // same final state.
+    // same final state, and its capture-order filter replay must score
+    // every filter exactly as the checked pass's immediate observation.
     if (checkBatched) {
         sim::SmpSystem batched(cfg);
         batched.attachSources(sourcesFor(traces));
@@ -328,6 +354,16 @@ TraceFuzzer::checkOnce(const sim::SmpConfig &system, const TraceSet &traces,
         const std::string bus_diff = compare_buses(batched, "batched path");
         if (!bus_diff.empty())
             return bus_diff;
+        for (std::size_t f = 0; f < batched.bank(0).size(); ++f) {
+            const std::string filter_diff =
+                diffFilterStats(checked.mergedFilterStats(f),
+                                batched.mergedFilterStats(f));
+            if (!filter_diff.empty()) {
+                return "batched-filter-equivalence: " +
+                       batched.bank(0).filterAt(f).name() + " step " +
+                       filter_diff + " batched";
+            }
+        }
     }
     return "";
 }

@@ -13,7 +13,8 @@
  *   2. through the golden model (verify/golden_smp.hh), comparing final
  *      state bit-exactly,
  *   3. through the batched run() hot path with hooks unset, comparing
- *      against the same golden snapshot,
+ *      against the same golden snapshot and every filter's statistics
+ *      against pass 1's,
  *
  * — and steers the pattern mix by coverage stall: a mix is kept while
  * it keeps uncovering new snoop-transition and filter-outcome cells
@@ -99,7 +100,7 @@ struct FuzzConfig
 
     std::uint64_t auditEvery = 512;  //!< global audit cadence (refs)
     bool compareGolden = true;       //!< step-path vs golden final state
-    bool checkBatched = true;        //!< batched run() vs golden
+    bool checkBatched = true;        //!< batched run() vs golden + step
     std::uint64_t maxShrinkRuns = 400;
 
     /** Small thrash-friendly geometry with every built-in family. */

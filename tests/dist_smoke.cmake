@@ -1,9 +1,9 @@
 # Multi-process smoke for the distributed sweep subsystem (ISSUE 10
 # acceptance): a coordinator with two forked `jetty_cli worker`
-# processes — one killed mid-shard — must complete the campaign, the
-# same ledger must resume it without re-simulating anything, and both
-# the resumed and the plain single-process Report must be byte-identical
-# to the distributed one. Run as:
+# processes — one killed mid-shard — must complete the campaign, a rerun
+# against the same disk cache must resume it without re-simulating
+# anything, and both the resumed and the plain single-process Report
+# must be byte-identical to the distributed one. Run as:
 #   cmake -DCLI=<jetty_cli> -DSPEC=<distributed.spec.json> -DWORK=<dir>
 #         -P dist_smoke.cmake
 foreach(var CLI SPEC WORK)
@@ -12,7 +12,7 @@ foreach(var CLI SPEC WORK)
   endif()
 endforeach()
 
-# Ledger and cache persistence is the point of the test — start from a
+# Cache persistence is the point of the test — start from a
 # clean slate so a re-run of this ctest sees the same cold-start world.
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
@@ -44,7 +44,7 @@ endfunction()
 # coordinator must respawn capacity, retry the orphaned shard, and still
 # finish with exit 0.
 run_cli(dist sweep --spec ${SPEC} --workers 2 --kill-worker-after 1
-        --retries 2 --ledger ${WORK}/ledger --cache-dir ${WORK}/cache
+        --retries 2 --cache-dir ${WORK}/cache
         --json ${WORK}/dist.json --events ${WORK}/events.json)
 
 # The kill must actually have landed: the structured event stream names
@@ -59,13 +59,14 @@ foreach(pattern "worker_died" "retried")
   endif()
 endforeach()
 
-# ---- 2. resume from the ledger: nothing re-simulates ------------------
+# ---- 2. resume from the disk tier: nothing re-simulates ---------------
+# Fresh worker processes start with an empty memory tier, so every cell
+# must come back as a disk hit.
 run_cli(resumed sweep --spec ${SPEC} --workers 2
-        --ledger ${WORK}/ledger --cache-dir off
-        --json ${WORK}/resumed.json)
-if(NOT resumed MATCHES "resumed 4")
+        --cache-dir ${WORK}/cache --json ${WORK}/resumed.json)
+if(NOT resumed MATCHES "\\(0 simulated, 4 disk hits,")
   message(FATAL_ERROR
-          "ledger resume re-dispatched finished shards:\n${resumed}")
+          "disk-tier resume re-simulated finished cells:\n${resumed}")
 endif()
 expect_identical(${WORK}/dist.json ${WORK}/resumed.json
                  "resumed Report")

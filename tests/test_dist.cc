@@ -6,8 +6,8 @@
  * (empty shard, stolen-then-completed duplicate, unknown key), real
  * coordinator campaigns over thread workers produce Reports
  * byte-identical to the single-process sweep at any worker count —
- * including under an injected mid-shard worker death — and the resume
- * ledger replays finished cells losslessly.
+ * including under an injected mid-shard worker death — and a rerun
+ * against the same disk tier replays finished cells losslessly.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "api/experiment_spec.hh"
 #include "dist/coordinator.hh"
-#include "dist/ledger.hh"
 #include "dist/shard.hh"
 #include "dist/worker.hh"
 #include "experiments/experiments.hh"
@@ -352,51 +351,54 @@ TEST(DistCampaign, MidShardWorkerDeathRetriesAndStaysByteIdentical)
     experiments::RunCache::instance().clear();
 }
 
-TEST(DistCampaign, LedgerResumeReplaysEveryCellLosslessly)
+TEST(DistCampaign, DiskTierResumeReplaysEveryCellLosslessly)
 {
     ignoreSigpipe();
     const api::ExperimentSpec spec = tinySweepSpec();
-    const std::string ledgerDir =
-        ::testing::TempDir() + "jetty_dist_ledger_test";
-    std::filesystem::remove_all(ledgerDir);
-    experiments::RunCache::instance().clear();
+    const std::string diskRoot =
+        ::testing::TempDir() + "jetty_dist_resume_test";
+    std::filesystem::remove_all(diskRoot);
+    experiments::RunCache &cache = experiments::RunCache::instance();
+    cache.clear();
+    cache.setDiskRoot(diskRoot);
 
-    // Campaign 1: simulate everything, journaling each completion.
-    dist::CampaignResult first;
-    {
+    // Runs one campaign over two fresh thread workers.
+    const auto campaign = [&spec](dist::CampaignResult &out) {
         std::vector<ThreadWorker> pool(2);
         dist::CoordinatorConfig cfg;
-        cfg.ledgerDir = ledgerDir;
         cfg.stealAfterSeconds = 0;
         dist::Coordinator coordinator(cfg);
         for (auto &tw : pool) {
             startThreadWorker(tw, dist::WorkerOptions());
             coordinator.attachWorker(tw.endpoint);
         }
-        ASSERT_EQ(coordinator.run(spec, first), "");
+        ASSERT_EQ(coordinator.run(spec, out), "");
         for (auto &tw : pool)
             tw.thread.join();
-    }
-    EXPECT_EQ(first.resumed, 0u);
+    };
 
-    // Campaign 2: cache wiped (a fresh process would start cold), every
-    // cell answered by the ledger — nothing dispatched, nothing
-    // simulated, and the merged Report's bytes survive the round trip
-    // through the journal.
-    experiments::RunCache::instance().clear();
+    // Campaign 1: simulate everything, publishing each cell to disk.
+    dist::CampaignResult first;
+    campaign(first);
+    EXPECT_EQ(first.diskHits, 0u);
+
+    // Campaign 2: tier 0 wiped (a fresh process would start cold), every
+    // cell answered by the disk tier — nothing simulated, and the merged
+    // Report's bytes survive the round trip through the disk entries.
+    cache.clear();
     dist::CampaignResult second;
-    {
-        dist::CoordinatorConfig cfg;
-        cfg.ledgerDir = ledgerDir;
-        dist::Coordinator coordinator(cfg);
-        ASSERT_EQ(coordinator.run(spec, second), "");
-    }
-    EXPECT_EQ(second.resumed, 4u);
+    campaign(second);
     EXPECT_EQ(second.simulated, 0u);
+    // Thread workers share one process-global RunCache, so their
+    // per-shard counter deltas can overlap and overcount the campaign's
+    // diskHits; the cache's own counters are exact.
+    EXPECT_EQ(cache.simulations(), 0u);
+    EXPECT_EQ(cache.diskHits(), 4u);
     EXPECT_EQ(second.report.dump(), first.report.dump());
 
-    std::filesystem::remove_all(ledgerDir);
-    experiments::RunCache::instance().clear();
+    cache.setDiskRoot("");
+    std::filesystem::remove_all(diskRoot);
+    cache.clear();
 }
 
 TEST(DistCampaign, StolenShardDuplicateIsLoggedAndDiscarded)

@@ -442,18 +442,20 @@ TEST(SmpSystem, StepDrivenAndRunAreBitIdentical)
                          runWithBatch(64, /*stepDriven=*/false));
 }
 
-TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
+TEST(SmpSystem, DeferredFilterReplayIsBitIdenticalAtAnyBusCount)
 {
-    // The pre-interconnect bit-identity anchor: at snoopBuses == 1 the
-    // batched run's deferred, per-filter-batched bank replay must give
+    // The batched run's deferred, per-filter-batched bank replay applies
+    // events in capture order, so at every bus count it must give
     // exactly the filter numbers of the immediate per-snoop observation
     // (the step-driven path), on top of identical architectural stats.
-    const RunOutcome immediate =
-        runOutcomeWithBatch(64, /*stepDriven=*/true);
-    const RunOutcome deferred =
-        runOutcomeWithBatch(64, /*stepDriven=*/false);
-    expectIdenticalStats(immediate.stats, deferred.stats);
-    expectIdenticalFilterStats(immediate.filters, deferred.filters);
+    for (const unsigned buses : {1u, 2u, 4u}) {
+        const RunOutcome immediate =
+            runOutcomeWithBatch(64, /*stepDriven=*/true, nullptr, buses);
+        const RunOutcome deferred =
+            runOutcomeWithBatch(64, /*stepDriven=*/false, nullptr, buses);
+        expectIdenticalStats(immediate.stats, deferred.stats);
+        expectIdenticalFilterStats(immediate.filters, deferred.filters);
+    }
 }
 
 TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
@@ -461,7 +463,7 @@ TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
     // snoopBuses is a routing/reporting axis: every architectural
     // counter (and the remote-hit histogram) is bit-identical for 1, 2
     // and 4 buses; the per-bus occupancy vectors partition the single
-    // total; and the bus-major filter replay stays safe at every count.
+    // total; and every filter statistic is bit-identical too.
     const RunOutcome one = runOutcomeWithBatch(64, false, nullptr, 1);
     for (const unsigned buses : {2u, 4u}) {
         const RunOutcome split =
@@ -488,19 +490,7 @@ TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
             probes += p;
         EXPECT_EQ(probes, agg.snoopTagProbes);
 
-        // Filter coverage may legitimately shift with the bus-major
-        // replay order, but the event totals and safety cannot.
-        ASSERT_EQ(split.filters.size(), one.filters.size());
-        for (std::size_t f = 0; f < split.filters.size(); ++f) {
-            EXPECT_EQ(split.filters[f].probes, one.filters[f].probes);
-            EXPECT_EQ(split.filters[f].wouldMiss,
-                      one.filters[f].wouldMiss);
-            EXPECT_EQ(split.filters[f].fillUpdates,
-                      one.filters[f].fillUpdates);
-            EXPECT_EQ(split.filters[f].evictUpdates,
-                      one.filters[f].evictUpdates);
-            EXPECT_EQ(split.filters[f].safetyViolations, 0u);
-        }
+        expectIdenticalFilterStats(one.filters, split.filters);
     }
 }
 
@@ -508,7 +498,9 @@ TEST(SmpSystem, EveryBusTransactionRidesItsHomeBus)
 {
     // Drive a 2-bus system through the observer route and check the
     // emitted routing against the config (the CheckerSuite re-checks
-    // the same invariant with its own restatement in verify/).
+    // the same invariant with its own restatement in verify/). The
+    // observed run must also score every filter exactly as the
+    // unobserved batched run does.
     struct RoutingObserver : public SimObserver
     {
         unsigned blockBytes = 64;
@@ -527,6 +519,8 @@ TEST(SmpSystem, EveryBusTransactionRidesItsHomeBus)
     const RunOutcome split = runOutcomeWithBatch(64, false, &obs, 2);
     EXPECT_EQ(obs.txns, split.stats.snoopTransactions);
     EXPECT_GT(obs.txns, 0u);
+    const RunOutcome unobserved = runOutcomeWithBatch(64, false, nullptr, 2);
+    expectIdenticalFilterStats(unobserved.filters, split.filters);
 }
 
 TEST(SmpSystem, ObserverIsBehaviourNeutralAndComplete)

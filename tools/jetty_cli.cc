@@ -23,15 +23,16 @@
  *                     [--no-subblock] [--scale F] [--jobs N]
  *                     [--filters SPEC[,SPEC...]] [--json FILE]
  *                     [--dump-spec]
- *                     [--workers N] [--ledger DIR] [--retries N]
+ *                     [--cache-dir DIR] [--workers N] [--retries N]
  *                     [--respawns N] [--steal-after S] [--events FILE]
  *                     [--kill-worker-after N]
  *                     (--procs/--buses are sweep axes: every
  *                     (app, procs, buses) cell of the cross-product;
  *                     --workers N shards the campaign across N local
  *                     worker processes via the dist coordinator —
- *                     same Report bytes, plus work stealing, bounded
- *                     retry, and --ledger crash resume.
+ *                     same Report bytes, plus work stealing and bounded
+ *                     retry; rerunning with the same --cache-dir resumes
+ *                     an interrupted campaign from the disk tier.
  *                     --kill-worker-after K is fault injection: the
  *                     first worker dies mid-shard after K requests)
  *   jetty_cli apps
@@ -523,8 +524,8 @@ printSweepTable(const std::vector<std::string> &specs,
 
 /** One human-readable progress line per ShardEvent, flushed eagerly so
  *  a scripted caller tailing the coordinator sees shard lifecycle
- *  transitions (assigned/started/completed/stolen/retried/resumed/
- *  duplicate/worker_died) as they happen. */
+ *  transitions (assigned/started/completed/stolen/retried/duplicate/
+ *  worker_died) as they happen. */
 void
 printShardEvent(const dist::ShardEvent &ev)
 {
@@ -561,8 +562,8 @@ printShardEvent(const dist::ShardEvent &ev)
  * coordinator. The merged Report is byte-identical to the
  * single-process path (same service::buildReport, cells keyed by the
  * canonical runCacheKey); what changes is the execution fabric — work
- * stealing for stragglers, bounded retry on worker death, and an
- * optional on-disk resume ledger.
+ * stealing for stragglers and bounded retry on worker death. The
+ * workers share the disk tier, so a rerun resumes from it.
  */
 int
 runDistributedSweep(const api::ExperimentSpec &spec,
@@ -601,8 +602,6 @@ runDistributedSweep(const api::ExperimentSpec &spec,
                   opts.at("steal-after") + "'");
         cfg.stealAfterSeconds = v;
     }
-    if (opts.count("ledger"))
-        cfg.ledgerDir = opts.at("ledger");
     cfg.eventSink = printShardEvent;
 
     unsigned long long killAfter = 0;
@@ -705,13 +704,12 @@ runDistributedSweep(const api::ExperimentSpec &spec,
     printSweepTable(result.filterNames, result.requests, result.runs);
 
     std::printf("\n%llu shards (%llu simulated, %llu disk hits, "
-                "%llu mem hits), %u workers, resumed %llu, stolen %llu, "
+                "%llu mem hits), %u workers, stolen %llu, "
                 "retried %llu, duplicates %llu, %.1fs\n",
                 static_cast<unsigned long long>(result.shards),
                 static_cast<unsigned long long>(result.simulated),
                 static_cast<unsigned long long>(result.diskHits),
                 static_cast<unsigned long long>(result.memHits), workers,
-                static_cast<unsigned long long>(result.resumed),
                 static_cast<unsigned long long>(result.stolen),
                 static_cast<unsigned long long>(result.retried),
                 static_cast<unsigned long long>(result.duplicates),
