@@ -17,9 +17,10 @@
  *    errors that name the offending key and what would have been valid
  *    (the registry's describeFailure() style).
  *  - **Canonicalization** (canonicalText(): sorted keys, minimal
- *    whitespace, shortest round-tripping numbers) is what the RunCache
- *    keys on — runCacheKey() below — so two specs holding the same data
- *    in any key order identify the same cached simulation.
+ *    whitespace, doubles in json::formatDouble's frozen exact form) is
+ *    what the RunCache keys on — runCacheKey() below — so two specs
+ *    holding the same data in any key order identify the same cached
+ *    simulation.
  *  - **Expansion**: expand() is the sweep cross-product expander
  *    (apps x sweep.procs x sweep.buses -> experiments::RunRequest),
  *    replacing the ad-hoc loops in jetty_cli.

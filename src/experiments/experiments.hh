@@ -145,7 +145,7 @@ void setTraceDigestPreHashHook(
 
 /**
  * The RunCache identity of @p req under @p scale: the canonical
- * (sorted-keys, minimal-whitespace, shortest-exact-number) JSON
+ * (sorted-keys, minimal-whitespace, json::formatDouble-number) JSON
  * serialization of the simulated cell — variant machine + workload
  * fingerprint (+ scale for profile-backed workloads; a capture's
  * length is the capture's length). Key equality is exactly "same

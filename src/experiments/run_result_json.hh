@@ -2,11 +2,11 @@
  * @file
  * Exact JSON round-trip of AppRunResult — the payload format of the
  * persistent RunCache tier (disk_cache.hh). Every counter the simulator
- * produces is serialized, doubles through json::formatDouble's
- * shortest-exact form, so a result restored from disk is value-identical
- * to the one the simulation produced: any Report built from it (run
- * rows, energy decompositions, timing) is bit-identical to the
- * originating process's Report.
+ * produces is serialized, doubles through json::formatDouble's exact
+ * ("%.Pg" at the least round-tripping P) form, so a result restored
+ * from disk is value-identical to the one the simulation produced: any
+ * Report built from it (run rows, energy decompositions, timing) is
+ * bit-identical to the originating process's Report.
  *
  * The reader validates instead of panicking: disk entries are untrusted
  * input (a crash, a partial write by a pre-atomic build, a version skew)

@@ -98,14 +98,7 @@ ExperimentServer::ExperimentServer(ServerConfig cfg) : cfg_(std::move(cfg))
 ExperimentServer::~ExperimentServer()
 {
     requestStop();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto &t : workers_) {
-            if (t.joinable())
-                t.join();
-        }
-        workers_.clear();
-    }
+    joinAll();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         ::unlink(cfg_.socketPath.c_str());
@@ -126,6 +119,7 @@ ExperimentServer::run()
     if (listenFd_ < 0)
         panic("ExperimentServer::run() before a successful start()");
     while (!stop_.load()) {
+        reapFinished();
         // A short poll timeout bounds how long a stop request (signal
         // or shutdown verb) waits for the accept loop to notice.
         struct pollfd pfd = {listenFd_, POLLIN, 0};
@@ -142,8 +136,11 @@ ExperimentServer::run()
         if (fd < 0)
             continue;
         std::lock_guard<std::mutex> lock(mu_);
-        workers_.emplace_back(
-            [this, fd]() { serveClient(fd); });
+        Connection &c = connections_.emplace_back();
+        c.thread = std::thread([this, fd, &c]() {
+            serveClient(fd);
+            c.done.store(true);
+        });
     }
     // Drain: refuse new connections immediately (close and unlink the
     // listening socket), then let every connection thread finish its
@@ -154,12 +151,32 @@ ExperimentServer::run()
         ::unlink(cfg_.socketPath.c_str());
         listenFd_ = -1;
     }
+    joinAll();
+}
+
+void
+ExperimentServer::reapFinished()
+{
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto &t : workers_) {
-        if (t.joinable())
-            t.join();
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        if (it->done.load()) {
+            it->thread.join();
+            it = connections_.erase(it);
+        } else {
+            ++it;
+        }
     }
-    workers_.clear();
+}
+
+void
+ExperimentServer::joinAll()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto &c : connections_) {
+        if (c.thread.joinable())
+            c.thread.join();
+    }
+    connections_.clear();
 }
 
 void

@@ -29,10 +29,10 @@
 #define JETTY_SERVICE_SERVER_HH
 
 #include <atomic>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace jetty::service
 {
@@ -66,13 +66,26 @@ class ExperimentServer
     const std::string &socketPath() const { return cfg_.socketPath; }
 
   private:
+    /** One connection thread. done is its last store, so the accept
+     *  loop can join a finished one without waiting. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void serveClient(int fd);
+    /** Join and drop every finished connection thread. A joinable
+     *  thread that has exited still holds its stack pages until joined,
+     *  so without this a long-lived daemon grows with every client. */
+    void reapFinished();
+    void joinAll();
 
     ServerConfig cfg_;
     int listenFd_ = -1;
     std::atomic<bool> stop_{false};
     std::mutex mu_;
-    std::vector<std::thread> workers_;
+    std::list<Connection> connections_;  //!< guarded by mu_
 };
 
 } // namespace jetty::service

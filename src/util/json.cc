@@ -1,12 +1,11 @@
 #include "util/json.hh"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <system_error>
 
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
@@ -230,12 +229,22 @@ Value::size() const
 
 // ---- emission --------------------------------------------------------
 
-std::string
-escape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
+
+/** Append @p s to @p out, escaped for inclusion between JSON quotes.
+ *  Runs of characters that need no escape are appended in one call. */
+void
+appendEscaped(std::string &out, const std::string &s)
+{
+    const char *run = s.data();
+    const char *const end = s.data() + s.size();
+    for (const char *p = run; p != end; ++p) {
+        const auto c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, p);
+        run = p + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -258,38 +267,65 @@ escape(const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            static const char kHex[] = "0123456789abcdef";
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
-    return out;
+    out.append(run, end);
 }
+
+/** Append the decimal form of integer @p v to @p out. */
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
+
+/**
+ * Append formatDouble(@p v) to @p out. The form is printf "%.Pg" at the
+ * smallest precision P that parses back to @p v exactly. No P below the
+ * digit count P0 of the shortest round-trip form can parse back, so the
+ * search starts at P0; to_chars(general, P) is specified as "%.Pg" in
+ * the C locale.
+ */
+void
+appendDouble(std::string &out, double v)
+{
+    // Non-finite values are not JSON; the emitters never produce them,
+    // so treat one as the internal error it is.
+    if (!std::isfinite(v))
+        panic("json: cannot emit a non-finite number");
+    char buf[40];
+    char *const end = buf + sizeof(buf);
+    auto r = std::to_chars(buf, end, v, std::chars_format::scientific);
+    int prec = 0;
+    for (const char *p = buf; p != r.ptr && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    for (; prec <= 17; ++prec) {
+        r = std::to_chars(buf, end, v, std::chars_format::general, prec);
+        double back = 0;
+        const auto parsed = std::from_chars(buf, r.ptr, back);
+        if (parsed.ec == std::errc() && back == v)
+            break;
+    }
+    out.append(buf, r.ptr);
+}
+
+} // namespace
 
 std::string
 formatDouble(double v)
 {
-    // Non-finite values are not JSON; the emitters never produce them,
-    // so treat one as the internal error it is.
-    if (!(v == v) || v > std::numeric_limits<double>::max() ||
-        v < std::numeric_limits<double>::lowest()) {
-        panic("json: cannot emit a non-finite number");
-    }
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    // "1e+06"-style output parses back exactly but "1.0" reads better;
-    // leave the %g form as-is — it is deterministic, which is what the
-    // canonical key needs.
-    return buf;
+    std::string out;
+    appendDouble(out, v);
+    return out;
 }
 
 void
@@ -307,17 +343,17 @@ Value::write(std::string &out, int indent, bool compact,
         out += bool_ ? "true" : "false";
         break;
       case Type::Int:
-        out += std::to_string(int_);
+        appendInt(out, int_);
         break;
       case Type::Uint:
-        out += std::to_string(uint_);
+        appendInt(out, uint_);
         break;
       case Type::Double:
-        out += formatDouble(dbl_);
+        appendDouble(out, dbl_);
         break;
       case Type::String:
         out += '"';
-        out += escape(str_);
+        appendEscaped(out, str_);
         out += '"';
         break;
       case Type::Array:
@@ -365,7 +401,7 @@ Value::write(std::string &out, int indent, bool compact,
                 pad(indent + 1);
             }
             out += '"';
-            out += escape(order[i]->first);
+            appendEscaped(out, order[i]->first);
             out += compact ? "\":" : "\": ";
             order[i]->second.write(out, indent + 1, compact, sortKeys);
         }
@@ -716,26 +752,36 @@ class Parser
                 break;
             }
         }
-        const std::string tok = text_.substr(start, pos_ - start);
-        errno = 0;
-        char *end = nullptr;
+        // from_chars reads what strtoll/strtoull/strtod read in the C
+        // locale, except that a subnormal result is not an error (strtod
+        // flags it ERANGE, so "5e-324" — formatDouble's denorm_min —
+        // could not be read back).
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
-            if (tok[0] == '-') {
-                const long long v = std::strtoll(tok.c_str(), &end, 10);
-                if (end == tok.c_str() + tok.size() && errno != ERANGE)
+            if (*first == '-') {
+                long long v = 0;
+                const auto r = std::from_chars(first, last, v);
+                if (r.ec == std::errc() && r.ptr == last) {
+                    // "-0" is how a Double -0.0 emits; reading it as
+                    // Int 0 would re-emit "0" and break parse/emit
+                    // identity.
+                    if (v == 0)
+                        return Value(-0.0);
                     return Value(v);
+                }
             } else {
-                const unsigned long long v =
-                    std::strtoull(tok.c_str(), &end, 10);
-                if (end == tok.c_str() + tok.size() && errno != ERANGE)
+                unsigned long long v = 0;
+                const auto r = std::from_chars(first, last, v);
+                if (r.ec == std::errc() && r.ptr == last)
                     return Value(v);
             }
-            errno = 0;  // overflowed an integer: fall through to double
+            // overflowed an integer: fall through to double
         }
-        end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size() || errno == ERANGE) {
-            fail("malformed number '" + tok + "'");
+        double v = 0;
+        const auto r = std::from_chars(first, last, v);
+        if (r.ec != std::errc() || r.ptr != last) {
+            fail("malformed number '" + std::string(first, last) + "'");
             return Value();
         }
         return Value(v);

@@ -10,9 +10,12 @@
  *    read top-down), but dumpCanonical() sorts keys and strips
  *    whitespace, so two trees holding the same data always canonicalize
  *    to the same bytes — that string is what the RunCache keys on.
- *  - Numbers remember whether they were integers; doubles are formatted
- *    with the shortest representation that round-trips exactly, so
- *    parse -> emit -> parse is the identity.
+ *  - Numbers remember whether they were integers; a double is emitted
+ *    as printf "%.Pg" at the smallest precision P that parses back
+ *    exactly (formatDouble), so parse -> emit -> parse is the identity.
+ *    The form is not the shortest string (100 emits as "1e+02"), but it
+ *    is frozen: Report bytes, runCacheKey text and disk-cache file
+ *    names all depend on it.
  *  - Strings are escaped on output (quotes, backslashes, control
  *    characters) — the fix for the hand-rolled fprintf emitters this
  *    module replaces, which escaped nothing.
@@ -137,10 +140,13 @@ class Value
     std::vector<Member> members_;
 };
 
-/** Escape @p s for inclusion between JSON quotes. */
-std::string escape(const std::string &s);
-
-/** Shortest decimal form of @p v that strtod() parses back exactly. */
+/**
+ * The JSON form of finite @p v: printf "%.Pg" at the smallest precision
+ * P (1..17) whose output parses back to @p v exactly. Not always the
+ * shortest string — 100 is "1e+02", 1e-4 is "0.0001", -0.0 is "-0" —
+ * and frozen, because Report bytes, runCacheKey text and disk-cache file
+ * names depend on it. panic()s on a non-finite value.
+ */
 std::string formatDouble(double v);
 
 /**

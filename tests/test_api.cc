@@ -14,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 
 #include "api/experiment_spec.hh"
@@ -41,6 +46,22 @@ readFile(const std::string &path)
         text.append(buf, got);
     std::fclose(f);
     return text;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+double
+doubleOf(std::uint64_t bits)
+{
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
 }
 
 std::string
@@ -74,6 +95,16 @@ TEST(Json, ScalarRoundTrips)
     const json::Value again = json::parse(v.dump(), &err);
     ASSERT_EQ(err, "");
     EXPECT_EQ(again.dumpCanonical(), v.dumpCanonical());
+
+    // Integers emit exactly at both ends of their ranges.
+    json::Value ints = json::Value::array();
+    ints.push(std::numeric_limits<std::int64_t>::min());
+    ints.push(std::numeric_limits<std::int64_t>::max());
+    ints.push(std::numeric_limits<std::uint64_t>::max());
+    ints.push(0);
+    EXPECT_EQ(ints.dumpCompact(),
+              "[-9223372036854775808,9223372036854775807,"
+              "18446744073709551615,0]");
 }
 
 TEST(Json, StringEscapingRoundTrips)
@@ -88,6 +119,8 @@ TEST(Json, StringEscapingRoundTrips)
     const json::Value back = json::parse(v.dump(), &err);
     ASSERT_EQ(err, "");
     EXPECT_EQ(back.find("s")->asString(), hostile);
+    EXPECT_EQ(json::Value("a\x01\x1f\x7f\"b\\").dumpCompact(),
+              "\"a\\u0001\\u001f\x7f\\\"b\\\\\"");
     // And \u escapes decode (including a surrogate pair).
     const json::Value uni =
         json::parse("\"a\\u00e9b\\ud83d\\ude00c\"", &err);
@@ -97,13 +130,101 @@ TEST(Json, StringEscapingRoundTrips)
                               "c");
 }
 
-TEST(Json, DoubleFormattingIsShortestExact)
+TEST(Json, DoubleFormattingIsLeastRoundTrippingPrecision)
 {
+    // "%.Pg" at the smallest P that parses back: not the shortest
+    // string (100 -> "1e+02"), and frozen — Report bytes, runCacheKey
+    // text and disk-cache file names depend on it.
     EXPECT_EQ(json::formatDouble(0.25), "0.25");
     EXPECT_EQ(json::formatDouble(1.0), "1");
-    const double awkward = 0.1 + 0.2;  // 0.30000000000000004
-    const std::string s = json::formatDouble(awkward);
-    EXPECT_EQ(std::strtod(s.c_str(), nullptr), awkward);
+    EXPECT_EQ(json::formatDouble(100.0), "1e+02");
+    EXPECT_EQ(json::formatDouble(1e-4), "0.0001");
+    EXPECT_EQ(json::formatDouble(-0.0), "-0");
+    EXPECT_EQ(json::formatDouble(0.1 + 0.2), "0.30000000000000004");
+    EXPECT_EQ(json::formatDouble(5e-324), "5e-324");  // denorm_min
+}
+
+TEST(Json, DoubleFormattingMatchesTheLegacyLoopAndParsesBack)
+{
+    // The original formatDouble, kept as the oracle: try "%.1g".."%.17g"
+    // and stop at the first that strtod parses back exactly.
+    const auto legacy = [](double v) {
+        char buf[40];
+        for (int prec = 1; prec <= 17; ++prec) {
+            std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+            if (std::strtod(buf, nullptr) == v)
+                break;
+        }
+        return std::string(buf);
+    };
+    // The emitted text also parses back to the same bits (subnormals
+    // and -0 included): parse(dump()) is the identity.
+    const auto check = [&](double v) {
+        const std::string text = json::formatDouble(v);
+        ASSERT_EQ(text, legacy(v)) << "bits 0x" << std::hex << bitsOf(v);
+        std::string err;
+        const json::Value back = json::parse(text, &err);
+        ASSERT_EQ(err, "") << text;
+        ASSERT_EQ(bitsOf(back.asDouble()), bitsOf(v)) << text;
+    };
+
+    using L = std::numeric_limits<double>;
+    for (double v : {0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 2.0 / 3.0, 100.0,
+                     1e-4, 1e-5, 123456.0, 1e15, 1e16, 1e17, 1e21, 1e22,
+                     1e23, 9007199254740993.0, 18446744073709551616.0,
+                     L::max(), -L::max(), L::min(), L::denorm_min(),
+                     L::epsilon()}) {
+        check(v);
+    }
+
+    // Every power of two and its neighbour toward zero: the exponent
+    // boundaries where the rounding interval is asymmetric.
+    for (int k = -1074; k <= 1023; ++k) {
+        const double p = std::ldexp(1.0, k);
+        check(p);
+        check(std::nextafter(p, 0.0));
+        check(-p);
+    }
+
+    // Seeded random finite bit patterns; every fourth one has its
+    // exponent cleared, so subnormals are well represented.
+    std::mt19937_64 rng(20011001);
+    constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+    unsigned checked = 0;
+    for (unsigned i = 0; checked < 120000; ++i) {
+        std::uint64_t bits = rng();
+        if (i % 4 == 0)
+            bits &= ~kExponent;
+        const double v = doubleOf(bits);
+        if (!std::isfinite(v))
+            continue;
+        check(v);
+        ++checked;
+    }
+}
+
+TEST(Json, NegativeZeroRelaysThroughTheWire)
+{
+    // "-0" is a Double -0.0 on the way back in, so a relayed document
+    // re-emits the producer's bytes (it used to come back as Int 0).
+    json::Value v = json::Value::object();
+    v.set("x", -0.0);
+    v.set("y", 0.0);
+    const std::string wire = v.dumpCompact();
+    EXPECT_EQ(wire, "{\"x\":-0,\"y\":0}");
+    std::string err;
+    const json::Value back = json::parse(wire, &err);
+    ASSERT_EQ(err, "");
+    EXPECT_EQ(back.dumpCompact(), wire);
+    EXPECT_EQ(back.dump(), v.dump());
+    EXPECT_TRUE(std::signbit(back.find("x")->asDouble()));
+    EXPECT_FALSE(std::signbit(back.find("y")->asDouble()));
+
+    // An integral reader still takes it as 0.
+    EXPECT_TRUE(back.find("x")->fitsU64());
+    EXPECT_EQ(back.find("x")->asU64(), 0u);
+    EXPECT_EQ(back.find("x")->asI64(), 0);
+    EXPECT_EQ(json::parse("[-0]", &err).dumpCompact(), "[-0]");
 }
 
 TEST(Json, CanonicalFormSortsKeysAndStripsWhitespace)
@@ -254,6 +375,22 @@ TEST(Spec, RangeViolationsAreRejectedDescriptively)
         "\"assoc\": 1, \"block_bytes\": 32}}}",
         &err);
     EXPECT_NE(err.find("both l1 and l2"), std::string::npos) << err;
+}
+
+TEST(Spec, UnsignedFieldsAcceptNegativeZero)
+{
+    // "-0" parses as a Double -0.0; an unsigned member still reads it
+    // as 0, and the spec re-emits a plain 0.
+    std::string err;
+    const ExperimentSpec spec = ExperimentSpec::parse(
+        "{\"jetty_spec\": 1, \"fuzz\": {\"seed\": -0, "
+        "\"audit_every\": -0}}",
+        &err);
+    ASSERT_EQ(err, "") << err;
+    EXPECT_EQ(spec.fuzz.seed, 0u);
+    EXPECT_EQ(spec.fuzz.auditEvery, 0u);
+    EXPECT_NE(spec.emit().find("\"seed\": 0,"), std::string::npos)
+        << spec.emit();
 }
 
 TEST(Spec, FilterAndAppTyposFailThroughTheRegistries)

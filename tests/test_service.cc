@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -246,6 +247,50 @@ TEST(ExperimentService, GracefulDrainAnswersInFlightAndRefusesNew)
     EXPECT_LT(refused, 0);
     if (refused >= 0)
         ::close(refused);
+}
+
+TEST(ExperimentService, FinishedConnectionsAreReaped)
+{
+    // Every unjoined thread keeps its stack mapped, so a daemon that
+    // never joined finished connection threads gained about two
+    // mappings per client. Count this process's mappings around a
+    // burst of one-request connections.
+    const auto mappings = []() {
+        std::ifstream maps("/proc/self/maps");
+        std::size_t n = 0;
+        for (std::string l; std::getline(maps, l);)
+            ++n;
+        return n;
+    };
+    if (mappings() == 0)
+        GTEST_SKIP() << "no /proc/self/maps";
+
+    const std::string socket =
+        ::testing::TempDir() + "jetty_test_reap.sock";
+    service::ServerConfig cfg;
+    cfg.socketPath = socket;
+    service::ExperimentServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    std::thread serverThread([&server]() { server.run(); });
+
+    const auto ping = [&socket]() {
+        json::Value resp;
+        return service::requestResponse(
+            socket, service::makeRequest("ping"), resp);
+    };
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(ping(), "");  // warm the allocator and stack cache
+    const std::size_t before = mappings();
+    constexpr int kClients = 64;
+    for (int i = 0; i < kClients; ++i)
+        ASSERT_EQ(ping(), "");
+    const std::size_t after = mappings();
+    EXPECT_LT(after, before + kClients / 2)
+        << before << " mappings before " << kClients << " clients, "
+        << after << " after";
+
+    server.requestStop();
+    serverThread.join();
 }
 
 TEST(ServiceClient, ConnectBackoffIsBoundedByTimeout)
