@@ -11,7 +11,8 @@
  * identical reference streams and the bench asserts their statistics are
  * bit-identical before reporting any number.
  *
- * Workloads (all 4-processor, paper base system, paper filter trio):
+ * Workloads (all 4-processor, paper base system, the paper filter trio
+ * unless --filters names another bank):
  *  - delivery-bound: a cache-friendly synthetic profile whose references
  *    almost always hit the L1, isolating the delivery pipeline itself —
  *    the headline speedup number;
@@ -20,6 +21,8 @@
  *
  * Writes BENCH_throughput.json (override with --out). --smoke shrinks
  * the run for CI and skips the file unless --out is given explicitly.
+ * --filters SPEC[,...] swaps the bank (BENCH_throughput_fig4bank.json is
+ * the figure-4 bank of six EJs and four VEJs).
  */
 
 #include <algorithm>
@@ -30,12 +33,14 @@
 #include <vector>
 
 #include "api/report.hh"
+#include "core/filter_spec.hh"
 #include "experiments/experiments.hh"
 #include "sim/smp_system.hh"
 #include "util/stats.hh"
 #include "trace/apps.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 
 using namespace jetty;
@@ -45,8 +50,8 @@ namespace
 {
 
 /** The paper's standard filter trio (run/replay default). */
-const std::vector<std::string> kFilters = {"EJ-32x4", "IJ-10x4x7",
-                                           "HJ(IJ-10x4x7,EJ-32x4)"};
+const std::vector<std::string> kDefaultFilters = {"EJ-32x4", "IJ-10x4x7",
+                                                  "HJ(IJ-10x4x7,EJ-32x4)"};
 
 /**
  * A profile built to be delivery-bound: a hot resident set far smaller
@@ -138,11 +143,11 @@ requireIdentical(const sim::SimStats &a, const sim::SimStats &b,
  *  shared box hit both sides alike. */
 Measurement
 measure(const trace::AppProfile &profile, unsigned repeats,
-        unsigned buses)
+        unsigned buses, const std::vector<std::string> &filters)
 {
     experiments::SystemVariant variant;
     sim::SmpConfig cfg = variant.smpConfig();
-    cfg.filterSpecs = kFilters;
+    cfg.filterSpecs = filters;
     cfg.snoopBuses = buses;
 
     const trace::Workload workload(profile, cfg.nprocs, 1.0);
@@ -192,6 +197,7 @@ main(int argc, char **argv)
     unsigned repeats = 3;
     unsigned buses = 1;
     double scale = 1.0;
+    std::vector<std::string> filters = kDefaultFilters;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
@@ -203,10 +209,20 @@ main(int argc, char **argv)
             buses = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
             scale = std::atof(argv[++i]);
+        } else if (std::strcmp(argv[i], "--filters") == 0 && i + 1 < argc) {
+            filters = splitFilterList(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: bench_throughput [--smoke] [--out FILE] "
-                         "[--repeat N] [--buses N] [--scale F]\n");
+                         "[--repeat N] [--buses N] [--scale F] "
+                         "[--filters SPEC[,...]]\n");
+            return 1;
+        }
+    }
+    for (const auto &f : filters) {
+        if (!filter::isValidFilterSpec(f)) {
+            std::fprintf(stderr, "bench_throughput: bad filter spec '%s'\n",
+                         f.c_str());
             return 1;
         }
     }
@@ -240,12 +256,13 @@ main(int argc, char **argv)
 
     rows.push_back(
         {"delivery-bound",
-         measure(deliveryBoundProfile(refsPerProc), repeats, buses)});
+         measure(deliveryBoundProfile(refsPerProc), repeats, buses,
+                 filters)});
     for (const char *app : {"fm", "lu"}) {
         trace::AppProfile p = trace::appByName(app);
         p.accessesPerProc = static_cast<std::uint64_t>(
             static_cast<double>(p.accessesPerProc) * appScale);
-        rows.push_back({app, measure(p, repeats, buses)});
+        rows.push_back({app, measure(p, repeats, buses, filters)});
     }
 
     TextTable table;
@@ -268,7 +285,7 @@ main(int argc, char **argv)
         // fields preserved under the versioned envelope, with the
         // machine/filters echoed as an ExperimentSpec.
         api::ExperimentSpec spec;
-        spec.filters = kFilters;
+        spec.filters = filters;
         spec.scale = scale;
         spec.benchRepeat = repeats;
         spec.machine.buses = buses;
@@ -281,7 +298,7 @@ main(int argc, char **argv)
         root.set("procs", 4);
         root.set("buses", buses);
         root.set("filters",
-                 static_cast<std::uint64_t>(kFilters.size()));
+                 static_cast<std::uint64_t>(filters.size()));
         root.set("repeats", repeats);
         root.set("headline_speedup",
                  api::Report::ratio(rows.front().m.scalarSeconds,

@@ -18,27 +18,17 @@ ExcludeJetty::ExcludeJetty(const ExcludeJettyConfig &cfg,
     if (amap.physAddrBits <= amap.blockOffsetBits + setBits_)
         fatal("ExcludeJetty: address space too small");
     tagBits_ = amap.physAddrBits - amap.blockOffsetBits - setBits_;
+    setMask_ = cfg.sets - 1;
+    tagShift_ = amap.blockOffsetBits + setBits_;
     presTag_.assign(static_cast<std::size_t>(cfg.sets) * cfg.assoc, 0);
     lastUse_.assign(presTag_.size(), 0);
-}
-
-std::uint64_t
-ExcludeJetty::setIndex(Addr unitAddr) const
-{
-    return bitField(unitAddr, amap_.blockOffsetBits, setBits_);
-}
-
-Addr
-ExcludeJetty::tagOf(Addr unitAddr) const
-{
-    return unitAddr >> (amap_.blockOffsetBits + setBits_);
 }
 
 bool
 ExcludeJetty::probe(Addr unitAddr)
 {
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
+    const std::size_t base = setBase(unitAddr);
+    const std::uint64_t key = keyOf(unitAddr);
     const int w = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
     if (w < 0)
         return false;
@@ -54,16 +44,21 @@ ExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
     if (blockPresent)
         return;
 
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
+    const std::size_t base = setBase(unitAddr);
+    const std::uint64_t key = keyOf(unitAddr);
 
     const int hit = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
     if (hit >= 0) {
         lastUse_[base + static_cast<unsigned>(hit)] = ++useClock_;
         return;
     }
+    allocate(base, key);
+}
 
-    // Allocate: prefer a not-present way, else LRU.
+void
+ExcludeJetty::allocate(std::size_t base, std::uint64_t key)
+{
+    // Prefer a not-present way, else LRU.
     std::size_t victim = base;
     bool found_free = false;
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
@@ -81,32 +76,6 @@ ExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
     }
     presTag_[victim] = key;
     lastUse_[victim] = ++useClock_;
-}
-
-void
-ExcludeJetty::onFill(Addr unitAddr)
-{
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
-    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    // Part of the block is now cached: the guarantee is void. The tag
-    // stays (exactly the old Entry's cleared present bit).
-    if (w >= 0)
-        presTag_[base + static_cast<unsigned>(w)] &= ~std::uint64_t{1};
-}
-
-void
-ExcludeJetty::applyBatch(const BankEvent *evs, std::size_t n,
-                         FilterStats &st)
-{
-    // The shared protocol with qualified (direct, inlinable) calls.
-    replayBankEvents(
-        evs, n, st, [this](Addr a) { return ExcludeJetty::probe(a); },
-        [this](Addr a, bool blockPresent) {
-            ExcludeJetty::onSnoopMiss(a, blockPresent);
-        },
-        [this](Addr a) { ExcludeJetty::onFill(a); },
-        [](Addr) {});  // the EJ ignores evictions
 }
 
 void

@@ -23,6 +23,7 @@
 
 #include "core/snoop_filter.hh"
 #include "util/arena.hh"
+#include "util/simd.hh"
 
 namespace jetty::filter
 {
@@ -46,10 +47,22 @@ class ExcludeJetty : public SnoopFilter
     void onEvict(Addr) override {}
     void clear() override;
 
-    /** Devirtualized batch replay for the deferred bank path: one call
-     *  per event run, direct (inlinable) probe/alloc/fill bodies. */
-    void applyBatch(const BankEvent *evs, std::size_t n,
-                    FilterStats &st) override;
+    /**
+     * The EJ family's event-major replay kernels (FilterBank's deferred
+     * flush): apply one queued event to each of the @p k EJs of a bank,
+     * accumulating into the matching @p stats slot. The bank branches
+     * on the event kind once and calls these directly, so a bank of
+     * several EJs pays one kind branch per event, not one per (event,
+     * filter). The snoop kernel folds probe and allocation: a miss
+     * that allocates reuses the probe's set scan (the key is known
+     * absent) instead of rescanning the set as onSnoopMiss must.
+     */
+    static inline void snoopFamily(const BankEvent &ev,
+                                   ExcludeJetty *const *ejs,
+                                   FilterStats *const *stats,
+                                   std::size_t k);
+    static inline void fillFamily(Addr unitAddr, ExcludeJetty *const *ejs,
+                                  FilterStats *const *stats, std::size_t k);
 
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts
@@ -60,13 +73,31 @@ class ExcludeJetty : public SnoopFilter
     unsigned storedTagBits() const { return tagBits_; }
 
   private:
-    std::uint64_t setIndex(Addr unitAddr) const;
-    Addr tagOf(Addr unitAddr) const;
+    /** First way of @p unitAddr's set in the flat entry arrays. */
+    std::size_t
+    setBase(Addr unitAddr) const
+    {
+        return static_cast<std::size_t>(
+                   (unitAddr >> amap_.blockOffsetBits) & setMask_) *
+               cfg_.assoc;
+    }
+
+    /** The probe key: the block's tag with the present bit set. */
+    std::uint64_t
+    keyOf(Addr unitAddr) const
+    {
+        return ((unitAddr >> tagShift_) << 1) | 1;
+    }
+
+    /** Install @p key (known absent from the set at @p base). */
+    void allocate(std::size_t base, std::uint64_t key);
 
     ExcludeJettyConfig cfg_;
     AddressMap amap_;
     unsigned setBits_;
     unsigned tagBits_;
+    std::uint64_t setMask_;  //!< sets - 1
+    unsigned tagShift_;      //!< blockOffsetBits + setBits_
     /**
      * Packed entry words, flat [set * assoc + way]: (tag << 1) | present,
      * cache-line aligned. A probe is one equality scan of a set's ways
@@ -79,6 +110,47 @@ class ExcludeJetty : public SnoopFilter
     util::AlignedVec<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
 };
+
+inline void
+ExcludeJetty::onFill(Addr unitAddr)
+{
+    const std::size_t base = setBase(unitAddr);
+    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc,
+                                  keyOf(unitAddr));
+    // Part of the block is now cached: the guarantee is void. The tag
+    // stays (exactly the old Entry's cleared present bit).
+    if (w >= 0)
+        presTag_[base + static_cast<unsigned>(w)] &= ~std::uint64_t{1};
+}
+
+inline void
+ExcludeJetty::snoopFamily(const BankEvent &ev, ExcludeJetty *const *ejs,
+                          FilterStats *const *stats, std::size_t k)
+{
+    for (std::size_t m = 0; m < k; ++m) {
+        ExcludeJetty &f = *ejs[m];
+        const std::size_t base = f.setBase(ev.unitAddr);
+        const std::uint64_t key = f.keyOf(ev.unitAddr);
+        const int w = simd::findEqU64(&f.presTag_[base], f.cfg_.assoc, key);
+        if (w >= 0)
+            f.lastUse_[base + static_cast<unsigned>(w)] = ++f.useClock_;
+        applySnoopVerdict(*stats[m], ev, w >= 0,
+                          [&f, base, key](Addr, bool blockPresent) {
+                              if (!blockPresent)
+                                  f.allocate(base, key);
+                          });
+    }
+}
+
+inline void
+ExcludeJetty::fillFamily(Addr unitAddr, ExcludeJetty *const *ejs,
+                         FilterStats *const *stats, std::size_t k)
+{
+    for (std::size_t m = 0; m < k; ++m) {
+        ejs[m]->ExcludeJetty::onFill(unitAddr);
+        ++stats[m]->fillUpdates;
+    }
+}
 
 } // namespace jetty::filter
 

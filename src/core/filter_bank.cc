@@ -1,6 +1,10 @@
 #include "core/filter_bank.hh"
 
+#include <typeinfo>
+
+#include "core/exclude_jetty.hh"
 #include "core/filter_spec.hh"
+#include "core/vector_exclude_jetty.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -15,6 +19,23 @@ FilterBank::FilterBank(const std::vector<std::string> &specs,
     for (const auto &spec : specs)
         filters_.push_back(makeFilter(spec, amap));
     stats_.resize(filters_.size());
+
+    // Group by family for the deferred replay. The exact-type test keeps
+    // a subclass (which may override a hook the kernels call directly)
+    // on the generic filter-major path.
+    for (std::size_t i = 0; i < filters_.size(); ++i) {
+        SnoopFilter *const f = filters_[i].get();
+        if (typeid(*f) == typeid(ExcludeJetty)) {
+            ejFamily_.filters.push_back(static_cast<ExcludeJetty *>(f));
+            ejFamily_.stats.push_back(&stats_[i]);
+        } else if (typeid(*f) == typeid(VectorExcludeJetty)) {
+            vejFamily_.filters.push_back(
+                static_cast<VectorExcludeJetty *>(f));
+            vejFamily_.stats.push_back(&stats_[i]);
+        } else {
+            batchReplayed_.push_back(i);
+        }
+    }
 }
 
 void
@@ -104,13 +125,9 @@ FilterBank::endDeferred()
 void
 FilterBank::flushDeferred()
 {
-    // The filter loop is outermost so one filter's arrays stay hot
-    // across the whole queue (filters are independent, so this is
-    // result-identical to applying each event to every filter in turn).
     if (!prepareFlush())
         return;
-    for (std::size_t i = 0; i < filters_.size(); ++i)
-        replayOne(i);
+    replayQueue();
     completeFlush();
 }
 
@@ -126,16 +143,51 @@ FilterBank::prepareFlush()
 }
 
 void
-FilterBank::replayOne(std::size_t filterIdx)
+FilterBank::replayQueue()
 {
-    FilterStats &st = stats_[filterIdx];
-    SnoopFilter *const f = filters_[filterIdx].get();
+    ExcludeJetty *const *const ej = ejFamily_.filters.data();
+    FilterStats *const *const ejStats = ejFamily_.stats.data();
+    const std::size_t nej = ejFamily_.filters.size();
+    VectorExcludeJetty *const *const vej = vejFamily_.filters.data();
+    FilterStats *const *const vejStats = vejFamily_.stats.data();
+    const std::size_t nvej = vejFamily_.filters.size();
+
     queue_.forEachRun([&](const BankEvent *evs, std::size_t n) {
         // Pull the run's tail toward the cache while the head replays;
         // each 64 B line holds four 16 B events.
         for (std::size_t off = 0; off < n; off += 64 / sizeof(BankEvent))
             simd::prefetchRead(evs + off);
-        f->applyBatch(evs, n, st);
+
+        // Filter-major: each remaining filter walks the run once through
+        // its own (devirtualized where it pays) applyBatch.
+        for (const std::size_t i : batchReplayed_)
+            filters_[i]->applyBatch(evs, n, stats_[i]);
+
+        // Event-major: one walk for every EJ and VEJ, one kind branch per
+        // event, each family's kernel applying it to all its members.
+        if (nej + nvej == 0)
+            return;
+        for (std::size_t e = 0; e < n; ++e) {
+            const BankEvent &ev = evs[e];
+            switch (ev.kind) {
+              case BankEvent::Kind::Snoop:
+                ExcludeJetty::snoopFamily(ev, ej, ejStats, nej);
+                VectorExcludeJetty::snoopFamily(ev, vej, vejStats, nvej);
+                break;
+              case BankEvent::Kind::Fill:
+                ExcludeJetty::fillFamily(ev.unitAddr, ej, ejStats, nej);
+                VectorExcludeJetty::fillFamily(ev.unitAddr, vej, vejStats,
+                                               nvej);
+                break;
+              case BankEvent::Kind::Evict:
+                // Both families ignore evictions; only the counter moves.
+                for (std::size_t m = 0; m < nej; ++m)
+                    ++ejStats[m]->evictUpdates;
+                for (std::size_t m = 0; m < nvej; ++m)
+                    ++vejStats[m]->evictUpdates;
+                break;
+            }
+        }
     });
 }
 

@@ -27,6 +27,9 @@
 namespace jetty::filter
 {
 
+class ExcludeJetty;
+class VectorExcludeJetty;
+
 /**
  * One filter's verdict on one snoop, with the ground truth it was judged
  * against. The verification subsystem's no-false-negative checker hangs
@@ -78,11 +81,16 @@ class FilterBank : public mem::CacheEventListener
     // The simulation hot loop defers filter work: snoops and the L2's
     // fill/evict notifications are queued in capture order — the order
     // immediate observation would have applied them — and a chunk-end
-    // flush replays the queue through each filter in one batched pass.
-    // Every filter therefore sees exactly the stream it would have seen
-    // immediately, so the deferred path is bit-identical to immediate
-    // observation at any snoop-bus count, and the no-false-negative
-    // guarantee carries over unchanged.
+    // flush replays the queue. The bank groups its filters by family at
+    // construction: the EJ and VEJ members replay *event-major* in one
+    // walk of the queue (per event, one kind branch, then each family's
+    // direct-call kernel applies it to every member), and every other
+    // family replays filter-major through its own applyBatch. Filters
+    // share no state, so any interleaving of their replays is
+    // result-identical; each filter still sees exactly the stream it
+    // would have seen immediately, so the deferred path is bit-identical
+    // to immediate observation at any snoop-bus count, and the
+    // no-false-negative guarantee carries over unchanged.
 
     /** Enter deferred mode: observeSnoop and the L2 listener hooks queue
      *  instead of applying. Requires no probe observer (the instrumented
@@ -98,22 +106,19 @@ class FilterBank : public mem::CacheEventListener
 
     // ---- The split flush, for parallel replay -----------------------
     //
-    // flushDeferred() is prepareFlush() + replayOne(i) for every filter
-    // + completeFlush(). The filters of a bank are independent (each
-    // replayOne touches only filters_[i], stats_[i] and the read-only
-    // queue), so a dispatcher may run the replayOne calls concurrently;
-    // the safety-panic decision is taken in completeFlush() in filter
-    // order, keeping the failure report deterministic regardless of the
-    // replay schedule. Results are bit-identical to flushDeferred() for
-    // any schedule because no replayed state is shared between tasks.
+    // flushDeferred() is prepareFlush() + replayQueue() +
+    // completeFlush(). Banks are independent (replayQueue touches only
+    // this bank's filters, stats and queue), so a dispatcher may run
+    // several banks' replayQueue calls concurrently and take every
+    // bank's safety-panic decision afterwards, in its own order.
 
     /** Snapshot per-filter violation counters and report whether the
      *  queue holds events (false: nothing to replay, skip the rest). */
     bool prepareFlush();
 
-    /** Replay the queue through filter @p filterIdx.
-     *  Thread-safe across distinct @p filterIdx values. */
-    void replayOne(std::size_t filterIdx);
+    /** Replay the queue through every filter of the bank. Counts safety
+     *  violations but never panics; thread-safe across distinct banks. */
+    void replayQueue();
 
     /** Check safety (panic in filter order) and clear the queue. */
     void completeFlush();
@@ -153,8 +158,21 @@ class FilterBank : public mem::CacheEventListener
     void setProbeObserver(FilterProbeObserver *obs, ProcId owner);
 
   private:
+    /** The members of one event-major family, in bank order: direct
+     *  pointers to the filters and to their stats_ slots. */
+    template <typename F>
+    struct Family
+    {
+        std::vector<F *> filters;
+        std::vector<FilterStats *> stats;
+    };
+
     std::vector<SnoopFilterPtr> filters_;
     std::vector<FilterStats> stats_;
+    Family<ExcludeJetty> ejFamily_;
+    Family<VectorExcludeJetty> vejFamily_;
+    /** Indices of the filters replayed filter-major (applyBatch). */
+    std::vector<std::size_t> batchReplayed_;
     bool checkSafety_;
     FilterProbeObserver *probeObserver_ = nullptr;
     ProcId owner_ = 0;

@@ -108,9 +108,9 @@ struct FilterStats
  * One deferred filter-bank event (core/filter_bank.hh). The batched
  * simulation hot path queues these in capture order instead of walking
  * every filter on every snoop; FilterBank::flushDeferred later replays
- * the queue through each filter in one pass. Snoop events carry their
- * ground truth *as captured at snoop time*, so the deferred safety
- * check judges every verdict against the true cache state.
+ * the queue to every filter. Snoop events carry their ground truth *as
+ * captured at snoop time*, so the deferred safety check judges every
+ * verdict against the true cache state.
  */
 struct BankEvent
 {
@@ -131,10 +131,12 @@ struct BankEvent
 /**
  * The single copy of the snoop-arm bookkeeping: which counters a
  * verdict bumps, when the safety violation is counted, and when the
- * miss hook (exclude-side allocation) fires. Both replay walks below —
- * and through them every applyBatch in the tree — fold each snoop
- * verdict through this one function, so the protocol cannot drift
- * between the scalar and the batch-probed paths.
+ * miss hook (exclude-side allocation) fires. The generic applyBatch,
+ * the segmented walk below (and through it the IJ and hybrid
+ * overrides) and the EJ/VEJ event-major family kernels all fold each
+ * snoop verdict through this one function, so the protocol cannot
+ * drift between the scalar, the batch-probed and the event-major
+ * paths.
  */
 template <typename MissFn>
 inline void
@@ -155,39 +157,6 @@ applySnoopVerdict(FilterStats &st, const BankEvent &ev, bool filtered,
         } else {
             missFn(ev.unitAddr, ev.blockInL2);
             ++st.snoopAllocs;
-        }
-    }
-}
-
-/**
- * The batch-replay protocol walk: one event at a time, probe verdicts
- * through applySnoopVerdict. Every applyBatch — the generic virtual
- * walk and the devirtualized family overrides — instantiates this (or
- * the segmented variant below) with its own probe/miss/fill/evict
- * callables, so the protocol stays in one place while the inner calls
- * stay direct.
- */
-template <typename ProbeFn, typename MissFn, typename FillFn,
-          typename EvictFn>
-inline void
-replayBankEvents(const BankEvent *evs, std::size_t n, FilterStats &st,
-                 ProbeFn &&probeFn, MissFn &&missFn, FillFn &&fillFn,
-                 EvictFn &&evictFn)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const BankEvent &ev = evs[i];
-        switch (ev.kind) {
-          case BankEvent::Kind::Snoop:
-            applySnoopVerdict(st, ev, probeFn(ev.unitAddr), missFn);
-            break;
-          case BankEvent::Kind::Fill:
-            fillFn(ev.unitAddr);
-            ++st.fillUpdates;
-            break;
-          case BankEvent::Kind::Evict:
-            evictFn(ev.unitAddr);
-            ++st.evictUpdates;
-            break;
         }
     }
 }
@@ -296,14 +265,16 @@ class SnoopFilter
 
     /**
      * Replay a run of deferred bank events through this filter,
-     * accumulating into @p st — the batched-probe path behind
+     * accumulating into @p st — the filter-major path behind
      * FilterBank::flushDeferred. The base implementation walks the
      * events through the virtual probe/onSnoopMiss/onFill/onEvict hooks
      * with exactly the bookkeeping of FilterBank::observeSnoop, so every
-     * family is batch-correct by construction; hot families (EJ, IJ)
-     * override it with devirtualized inner loops. Safety violations are
-     * *counted* here (st.safetyViolations); the bank decides whether to
-     * panic.
+     * family is batch-correct by construction; IJ and the IJ+EJ hybrid
+     * override it with devirtualized inner loops. The bank never calls
+     * it for an EJ or VEJ: those replay event-major through their
+     * family kernels (ExcludeJetty::snoopFamily and friends). Safety
+     * violations are *counted* here (st.safetyViolations); the bank
+     * decides whether to panic.
      */
     virtual void applyBatch(const BankEvent *evs, std::size_t n,
                             FilterStats &st);

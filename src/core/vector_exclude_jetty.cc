@@ -21,44 +21,21 @@ VectorExcludeJetty::VectorExcludeJetty(const VectorExcludeJettyConfig &cfg,
     if (amap.physAddrBits <= consumed)
         fatal("VectorExcludeJetty: address space too small");
     tagBits_ = amap.physAddrBits - consumed;
-    sets_.assign(cfg.sets, std::vector<Entry>(cfg.assoc));
-}
-
-std::uint64_t
-VectorExcludeJetty::setIndex(Addr unitAddr) const
-{
-    // The set index sits above the vector-selection bits; this is why a
-    // VEJ with the same sets/assoc as an EJ hashes addresses differently
-    // (the thrashing effect the paper observes on Barnes).
-    return bitField(unitAddr, amap_.blockOffsetBits + vecBits_, setBits_);
-}
-
-Addr
-VectorExcludeJetty::tagOf(Addr unitAddr) const
-{
-    return unitAddr >> (amap_.blockOffsetBits + vecBits_ + setBits_);
-}
-
-unsigned
-VectorExcludeJetty::bitOf(Addr unitAddr) const
-{
-    return static_cast<unsigned>(
-        bitField(unitAddr, amap_.blockOffsetBits, vecBits_));
+    vecMask_ = cfg.vectorBits - 1;
+    setMask_ = cfg.sets - 1;
+    setShift_ = amap.blockOffsetBits + vecBits_;
+    tagShift_ = setShift_ + setBits_;
+    entries_.assign(static_cast<std::size_t>(cfg.sets) * cfg.assoc, Entry{});
 }
 
 bool
 VectorExcludeJetty::probe(Addr unitAddr)
 {
-    auto &set = sets_[setIndex(unitAddr)];
-    const Addr tag = tagOf(unitAddr);
-    const std::uint64_t bit = std::uint64_t{1} << bitOf(unitAddr);
-    for (auto &e : set) {
-        if (e.valid && e.tag == tag) {
-            e.lastUse = ++useClock_;
-            return (e.vector & bit) != 0;
-        }
-    }
-    return false;
+    Entry *e = find(setOf(unitAddr), tagOf(unitAddr));
+    if (!e)
+        return false;
+    e->lastUse = ++useClock_;
+    return (e->vector & bitOf(unitAddr)) != 0;
 }
 
 void
@@ -67,30 +44,33 @@ VectorExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
     if (blockPresent)
         return;  // only whole-block absence may be recorded
 
-    auto &set = sets_[setIndex(unitAddr)];
+    Entry *const set = setOf(unitAddr);
     const Addr tag = tagOf(unitAddr);
-    const std::uint64_t bit = std::uint64_t{1} << bitOf(unitAddr);
-
-    for (auto &e : set) {
-        if (e.valid && e.tag == tag) {
-            e.vector |= bit;
-            e.lastUse = ++useClock_;
-            return;
-        }
+    const std::uint64_t bit = bitOf(unitAddr);
+    if (Entry *e = find(set, tag)) {
+        e->vector |= bit;
+        e->lastUse = ++useClock_;
+        return;
     }
+    allocate(set, tag, bit);
+}
 
+void
+VectorExcludeJetty::allocate(Entry *set, Addr tag, std::uint64_t bit)
+{
+    // Prefer an invalid way, else LRU.
     Entry *victim = nullptr;
-    for (auto &e : set) {
-        if (!e.valid) {
-            victim = &e;
+    for (unsigned w = 0; w < cfg_.assoc; ++w) {
+        if (!set[w].valid) {
+            victim = &set[w];
             break;
         }
     }
     if (!victim) {
-        victim = &set.front();
-        for (auto &e : set) {
-            if (e.lastUse < victim->lastUse)
-                victim = &e;
+        victim = set;
+        for (unsigned w = 1; w < cfg_.assoc; ++w) {
+            if (set[w].lastUse < victim->lastUse)
+                victim = &set[w];
         }
     }
     victim->valid = true;
@@ -100,27 +80,10 @@ VectorExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
 }
 
 void
-VectorExcludeJetty::onFill(Addr unitAddr)
-{
-    auto &set = sets_[setIndex(unitAddr)];
-    const Addr tag = tagOf(unitAddr);
-    const std::uint64_t bit = std::uint64_t{1} << bitOf(unitAddr);
-    for (auto &e : set) {
-        if (e.valid && e.tag == tag) {
-            e.vector &= ~bit;
-            if (e.vector == 0)
-                e.valid = false;
-            return;
-        }
-    }
-}
-
-void
 VectorExcludeJetty::clear()
 {
-    for (auto &set : sets_)
-        for (auto &e : set)
-            e = Entry{};
+    for (auto &e : entries_)
+        e = Entry{};
     useClock_ = 0;
 }
 

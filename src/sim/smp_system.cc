@@ -1,6 +1,7 @@
 #include "sim/smp_system.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -70,35 +71,36 @@ SmpSystem::SmpSystem(const SmpConfig &cfg)
 void
 SmpSystem::flushAllBanks()
 {
+    // Timed per chunk, never per reference: a clock read costs tens of
+    // nanoseconds, a chunk is hundreds of references per node.
+    const auto t0 = std::chrono::steady_clock::now();
     if (!replayPool_) {
         for (auto &node : nodes_)
             node->bank->flushDeferred();
-        return;
+    } else {
+        // Parallel replay over banks. Each bank replays only its own
+        // filters against its own queue, in capture order — exactly the
+        // sequential flush's work — so any schedule yields the
+        // sequential result. prepareFlush snapshots the violation
+        // counters up front; completeFlush takes the panic decision
+        // after the join, walking nodes (and filters within each bank)
+        // in ascending order, so a safety failure reports
+        // deterministically however the replay ran.
+        preparedBanks_.clear();
+        for (auto &node : nodes_) {
+            if (node->bank->prepareFlush())
+                preparedBanks_.push_back(node->bank.get());
+        }
+        replayPool_->parallelFor(preparedBanks_.size(),
+                                 [this](std::size_t b) {
+                                     preparedBanks_[b]->replayQueue();
+                                 });
+        for (filter::FilterBank *bank : preparedBanks_)
+            bank->completeFlush();
     }
-    // Parallel replay over independent (node, filter) tasks. Each task
-    // replays one bank's queue through one filter, in capture order —
-    // exactly the sequential flush's work unit — touching only that
-    // filter and its stats slot, so any schedule yields the sequential
-    // result. prepareFlush snapshots the violation counters up front;
-    // completeFlush takes the panic decision after the join, walking
-    // nodes (and filters within each bank) in ascending order, so a
-    // safety failure reports deterministically however the replay ran.
-    replayTasks_.clear();
-    preparedBanks_.clear();
-    for (auto &node : nodes_) {
-        filter::FilterBank *const bank = node->bank.get();
-        if (!bank->prepareFlush())
-            continue;
-        preparedBanks_.push_back(bank);
-        for (std::size_t f = 0; f < bank->size(); ++f)
-            replayTasks_.push_back({bank, f});
-    }
-    replayPool_->parallelFor(
-        replayTasks_.size(), [this](std::size_t t) {
-            replayTasks_[t].bank->replayOne(replayTasks_[t].filterIdx);
-        });
-    for (filter::FilterBank *bank : preparedBanks_)
-        bank->completeFlush();
+    replaySeconds_ += std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
 }
 
 void
@@ -415,6 +417,7 @@ SmpSystem::run()
     }
 
     deferActive_ = false;
+    flushAllBanks();
     for (auto &node : nodes_)
         node->bank->endDeferred();
 }

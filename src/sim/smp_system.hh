@@ -74,12 +74,12 @@ struct SmpConfig
     /**
      * Total threads (including the simulation thread) the chunk-end
      * filter replay of run() may use. 1 keeps the replay sequential.
-     * The replay parallelizes over independent (node, filter) tasks —
-     * each task replays its bank's queue in capture order, exactly as
-     * the sequential flush does, and the safety-panic decision is taken
-     * after the join in deterministic (node, filter) order — so every
-     * simulated number is bit-identical for every value; like batchRefs
-     * this is purely a wall-clock knob.
+     * The replay parallelizes over the nodes' banks — each bank replays
+     * its own queue in capture order, exactly as the sequential flush
+     * does, and the safety-panic decision is taken after the join in
+     * deterministic (node, filter) order — so every simulated number is
+     * bit-identical for every value; like batchRefs this is purely a
+     * wall-clock knob.
      */
     unsigned replayThreads = 1;
 
@@ -119,6 +119,14 @@ class SmpSystem
 
     /** Gathered statistics. */
     const SimStats &stats() const { return stats_; }
+
+    /**
+     * Wall seconds run() has spent in the deferred filter replay (the
+     * chunk-end flushes), summed over every run() call. A timing
+     * figure: not part of SimStats, so it never enters stats equality,
+     * cache keys or Report bytes.
+     */
+    double replaySeconds() const { return replaySeconds_; }
 
     /** A node's filter bank (coverage stats per configuration). */
     const filter::FilterBank &bank(ProcId p) const;
@@ -182,7 +190,8 @@ class SmpSystem
 
     /** Chunk-end flush of every node's deferred filter queues — over
      *  the replay pool when cfg_.replayThreads > 1, else sequential.
-     *  Bit-identical either way (see SmpConfig::replayThreads). */
+     *  Bit-identical either way (see SmpConfig::replayThreads). Adds
+     *  its wall time to replaySeconds_. */
     void flushAllBanks();
 
     /**
@@ -288,15 +297,9 @@ class SmpSystem
     bool probeObserved_ = false;  //!< any bank has a probe observer
     bool deferActive_ = false;    //!< run() hot loop: banks are queueing
 
-    /** One parallel replay task: a bank and the filter it replays. */
-    struct ReplayTask
-    {
-        filter::FilterBank *bank;
-        std::size_t filterIdx;
-    };
     std::unique_ptr<WorkerPool> replayPool_;  //!< replayThreads > 1 only
-    std::vector<ReplayTask> replayTasks_;     //!< flushAllBanks scratch
-    std::vector<filter::FilterBank *> preparedBanks_;
+    std::vector<filter::FilterBank *> preparedBanks_;  //!< flush scratch
+    double replaySeconds_ = 0.0;  //!< see replaySeconds()
 
     std::vector<Lane> lanes_;  //!< [live index] hot-loop chunk scratch
     /** Chunk-local per-bus occupancy deltas: while the hot loop runs,

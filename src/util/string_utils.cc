@@ -22,6 +22,28 @@ split(const std::string &s, char sep)
     return out;
 }
 
+std::vector<std::string>
+splitFilterList(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::string cur;
+    int depth = 0;
+    for (char c : s) {
+        if (c == '(')
+            ++depth;
+        else if (c == ')')
+            --depth;
+        if (c == ',' && depth == 0) {
+            out.push_back(trim(cur));
+            cur.clear();
+        } else {
+            cur.push_back(c);
+        }
+    }
+    out.push_back(trim(cur));
+    return out;
+}
+
 bool
 startsWith(const std::string &s, const std::string &prefix)
 {

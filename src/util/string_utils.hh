@@ -16,6 +16,10 @@ namespace jetty
 /** Split @p s on character @p sep (no empty-token suppression). */
 std::vector<std::string> split(const std::string &s, char sep);
 
+/** Split a filter list on commas, but not inside HJ(...) parentheses;
+ *  each spec is trimmed. */
+std::vector<std::string> splitFilterList(const std::string &s);
+
 /** True when @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
 

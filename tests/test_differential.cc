@@ -260,7 +260,7 @@ TEST(Differential, MillionReferenceSplitBusRunsStayBitExact)
 TEST(Differential, ThreadedReplayIsBitIdenticalToSequential)
 {
     // SmpConfig::replayThreads is a pure wall-clock knob: the chunk-end
-    // filter replay parallelizes over (node, filter) tasks whose state
+    // filter replay parallelizes over the nodes' banks, whose state
     // is disjoint, and the safety-panic decision joins deterministically
     // — so any thread count must produce the sequential run bit-for-bit
     // (machine state, architectural counters, every per-filter

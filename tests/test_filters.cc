@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for the JETTY filter family: exclude, vector-exclude,
- * include, hybrid, the spec parser, storage accounting and energy costs.
+ * include, hybrid, the spec parser, storage accounting and energy costs,
+ * and the bank's grouped deferred replay against immediate observation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/exclude_jetty.hh"
+#include "core/filter_bank.hh"
 #include "core/filter_spec.hh"
 #include "core/hybrid_jetty.hh"
 #include "core/include_jetty.hh"
@@ -450,4 +458,272 @@ TEST(FilterSpec, HybridComposesVej)
 {
     auto f = makeFilter("HJ(IJ-9x4x7,VEJ-32x4-8)", baseMap());
     EXPECT_EQ(f->name(), "HJ(IJ-9x4x7,VEJ-32x4-8)");
+}
+
+// ------------------------------------------ Grouped deferred replay ----
+//
+// FilterBank's deferred flush replays EJ and VEJ members event-major
+// through their family kernels and every other family filter-major.
+// Immediate observation (observeSnoop / unitFilled / unitEvicted) is the
+// oracle: a deferred bank flushed at arbitrary chunk splits must end in
+// exactly the same place, member for member, in any bank order.
+
+namespace
+{
+
+/** EJ and VEJ members of several geometries (EJ assoc 1/2/4/65, VEJ
+ *  vector 1/8/64), interleaved with every other family. */
+const std::vector<std::string> kMixedBank = {
+    "EJ-32x4",  "NULL",        "VEJ-32x4-8", "IJ-10x4x7",
+    "EJ-8x1",   "RF-8x10",     "VEJ-16x2-1", "HJ(IJ-9x4x7,EJ-16x2)",
+    "EJ-16x2",  "VEJ-8x4-64",  "EJ-32x65",   "HJ(IJ-8x4x7,VEJ-16x4-8)",
+};
+
+/** One bank-visible event of a seeded stream. */
+struct StreamEvent
+{
+    BankEvent::Kind kind;
+    Addr unit;
+    bool unitInL2;
+    bool blockInL2;
+};
+
+/**
+ * A seeded stream consistent with a modelled L2: fills bring in absent
+ * units, evictions drop present ones, and snoops carry the model's
+ * ground truth. Units come from a few thousand blocks under two tag
+ * regions, so small EJs thrash, large ones hit, and VEJ chunks fill up.
+ */
+std::vector<StreamEvent>
+randomStream(std::uint32_t seed, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    const auto unitAt = [&rng] {
+        const Addr block = (rng() % 3072) | ((rng() % 2) << 20);
+        return (block << 6) | ((rng() % 2) << 5);
+    };
+    std::set<Addr> cached;
+    std::vector<StreamEvent> out;
+    out.reserve(n);
+    while (out.size() < n) {
+        const unsigned roll = static_cast<unsigned>(rng() % 100);
+        if (roll < 15 && cached.size() < 512) {
+            const Addr u = unitAt();
+            if (cached.insert(u).second)
+                out.push_back({BankEvent::Kind::Fill, u, false, false});
+        } else if (roll < 28 && !cached.empty()) {
+            auto it = cached.begin();
+            std::advance(it, static_cast<long>(rng() % cached.size()));
+            out.push_back({BankEvent::Kind::Evict, *it, false, false});
+            cached.erase(it);
+        } else {
+            const Addr u = unitAt();
+            const Addr block = u & ~Addr{63};
+            const bool unit_in = cached.count(u) != 0;
+            const bool block_in =
+                cached.count(block) != 0 || cached.count(block + 32) != 0;
+            out.push_back({BankEvent::Kind::Snoop, u, unit_in, block_in});
+        }
+    }
+    return out;
+}
+
+void
+feed(FilterBank &bank, const StreamEvent &ev)
+{
+    switch (ev.kind) {
+      case BankEvent::Kind::Snoop:
+        bank.observeSnoop(ev.unit, ev.unitInL2, ev.blockInL2);
+        break;
+      case BankEvent::Kind::Fill:
+        bank.unitFilled(ev.unit);
+        break;
+      case BankEvent::Kind::Evict:
+        bank.unitEvicted(ev.unit);
+        break;
+    }
+}
+
+/** Replay @p events into a deferred bank, flushing at seeded random
+ *  chunk splits (1 to 700 events per chunk). */
+void
+feedDeferred(FilterBank &bank, const std::vector<StreamEvent> &events,
+             std::uint32_t splitSeed)
+{
+    std::mt19937 rng(splitSeed);
+    bank.beginDeferred();
+    std::size_t untilFlush = 1 + rng() % 700;
+    for (const StreamEvent &ev : events) {
+        feed(bank, ev);
+        if (--untilFlush == 0) {
+            bank.flushDeferred();
+            untilFlush = 1 + rng() % 700;
+        }
+    }
+    bank.endDeferred();
+}
+
+void
+expectSameStats(const FilterStats &a, const FilterStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.probes, b.probes) << what;
+    EXPECT_EQ(a.filtered, b.filtered) << what;
+    EXPECT_EQ(a.wouldMiss, b.wouldMiss) << what;
+    EXPECT_EQ(a.filteredWouldMiss, b.filteredWouldMiss) << what;
+    EXPECT_EQ(a.snoopAllocs, b.snoopAllocs) << what;
+    EXPECT_EQ(a.fillUpdates, b.fillUpdates) << what;
+    EXPECT_EQ(a.evictUpdates, b.evictUpdates) << what;
+    EXPECT_EQ(a.safetyViolations, b.safetyViolations) << what;
+}
+
+/** Seeded permutations of kMixedBank, the identity and reverse first. */
+std::vector<std::vector<std::string>>
+mixedBankOrders()
+{
+    std::vector<std::vector<std::string>> orders = {kMixedBank};
+    orders.emplace_back(kMixedBank.rbegin(), kMixedBank.rend());
+    std::mt19937 rng(7);
+    for (int i = 0; i < 3; ++i) {
+        std::vector<std::string> order = kMixedBank;
+        std::shuffle(order.begin(), order.end(), rng);
+        orders.push_back(order);
+    }
+    return orders;
+}
+
+} // namespace
+
+TEST(GroupedReplay, MatchesImmediateObservationInAnyBankOrder)
+{
+    for (const auto &order : mixedBankOrders()) {
+        for (const std::uint32_t seed : {1u, 2u, 3u}) {
+            const auto events = randomStream(seed, 20000);
+            FilterBank immediate(order, baseMap());
+            FilterBank deferred(order, baseMap());
+            for (const StreamEvent &ev : events)
+                feed(immediate, ev);
+            feedDeferred(deferred, events, seed * 31 + 5);
+
+            ASSERT_EQ(deferred.size(), immediate.size());
+            for (std::size_t i = 0; i < immediate.size(); ++i) {
+                const std::string what = immediate.filterAt(i).name() +
+                                         " seed " + std::to_string(seed) +
+                                         " slot " + std::to_string(i);
+                expectSameStats(deferred.statsAt(i), immediate.statsAt(i),
+                                what);
+                // The stats exercised every arm of the protocol.
+                EXPECT_GT(immediate.statsAt(i).wouldMiss, 0u) << what;
+            }
+            // A final probe sweep over the stream's units: the replayed
+            // filter contents must equal the immediate ones.
+            std::set<Addr> units;
+            for (const StreamEvent &ev : events)
+                units.insert(ev.unit);
+            for (std::size_t i = 0; i < immediate.size(); ++i) {
+                std::size_t mismatches = 0;
+                for (const Addr u : units) {
+                    if (deferred.filterAt(i).probe(u) !=
+                        immediate.filterAt(i).probe(u))
+                        ++mismatches;
+                }
+                EXPECT_EQ(mismatches, 0u)
+                    << immediate.filterAt(i).name() << " seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(GroupedReplay, FamiliesFilterAndAllocate)
+{
+    // Guard against a vacuous equivalence: on the seeded stream every
+    // EJ and VEJ member both filters snoops and allocates entries.
+    const auto events = randomStream(1, 20000);
+    FilterBank deferred(kMixedBank, baseMap());
+    feedDeferred(deferred, events, 11);
+    for (std::size_t i = 0; i < deferred.size(); ++i) {
+        const std::string name = deferred.filterAt(i).name();
+        if (name.rfind("EJ-", 0) != 0 && name.rfind("VEJ-", 0) != 0)
+            continue;
+        EXPECT_GT(deferred.statsAt(i).filteredWouldMiss, 0u) << name;
+        EXPECT_GT(deferred.statsAt(i).snoopAllocs, 0u) << name;
+    }
+}
+
+namespace
+{
+
+/**
+ * A stream every exclude-side filter violates on: u1 is filled, then a
+ * snoop to its sibling u0 wrongly reports the whole block absent (the
+ * EJ/VEJ parts allocate while the IJ and RF, which saw the fill, do not
+ * filter), and a second snoop claims u0 cached without any fill. EJs,
+ * VEJs and hybrids filter it; NULL, IJ and RF never do.
+ */
+std::vector<StreamEvent>
+violatingStream()
+{
+    const Addr u0 = 0x40000;
+    const Addr u1 = u0 + 32;
+    return {{BankEvent::Kind::Fill, u1, false, false},
+            {BankEvent::Kind::Snoop, u0, false, false},
+            {BankEvent::Kind::Snoop, u0, true, true}};
+}
+
+} // namespace
+
+TEST(GroupedReplay, CountsViolationsLikeImmediateObservation)
+{
+    for (const auto &order : mixedBankOrders()) {
+        FilterBank immediate(order, baseMap(), /*checkSafety=*/false);
+        FilterBank deferred(order, baseMap(), /*checkSafety=*/false);
+        for (const StreamEvent &ev : violatingStream())
+            feed(immediate, ev);
+        feedDeferred(deferred, violatingStream(), 3);
+        for (std::size_t i = 0; i < immediate.size(); ++i) {
+            const std::string name = immediate.filterAt(i).name();
+            expectSameStats(deferred.statsAt(i), immediate.statsAt(i),
+                            name);
+            const bool violator = name.rfind("NULL", 0) != 0 &&
+                                  name.rfind("IJ-", 0) != 0 &&
+                                  name.rfind("RF-", 0) != 0;
+            EXPECT_EQ(deferred.statsAt(i).safetyViolations,
+                      violator ? 1u : 0u)
+                << name;
+        }
+    }
+}
+
+TEST(GroupedReplayDeathTest, PanicNamesFirstViolatorInBankOrder)
+{
+    // The family kernels replay after the filter-major members, but the
+    // panic is decided in bank order: a filter-major hybrid ahead of the
+    // exclude members is named first, and an EJ or VEJ ahead of it is.
+    const auto run_deferred = [](const std::vector<std::string> &order) {
+        FilterBank bank(order, baseMap(), /*checkSafety=*/true);
+        bank.beginDeferred();
+        for (const StreamEvent &ev : violatingStream())
+            feed(bank, ev);
+        bank.flushDeferred();
+    };
+    const auto run_immediate = [](const std::vector<std::string> &order) {
+        FilterBank bank(order, baseMap(), /*checkSafety=*/true);
+        for (const StreamEvent &ev : violatingStream())
+            feed(bank, ev);
+    };
+    const std::vector<std::string> vej_first = {
+        "NULL", "IJ-10x4x7", "RF-8x10", "VEJ-32x4-8", "EJ-32x4",
+        "HJ(IJ-10x4x7,EJ-32x4)"};
+    const std::vector<std::string> ej_first = {
+        "IJ-10x4x7", "EJ-32x65", "HJ(IJ-10x4x7,EJ-32x4)", "VEJ-8x4-64"};
+    const std::vector<std::string> hybrid_first = {
+        "RF-8x10", "HJ(IJ-10x4x7,EJ-32x4)", "EJ-8x1", "VEJ-16x2-1"};
+    EXPECT_DEATH(run_deferred(vej_first), "violation: VEJ-32x4-8 filtered");
+    EXPECT_DEATH(run_immediate(vej_first), "violation: VEJ-32x4-8 filtered");
+    EXPECT_DEATH(run_deferred(ej_first), "violation: EJ-32x65 filtered");
+    EXPECT_DEATH(run_immediate(ej_first), "violation: EJ-32x65 filtered");
+    EXPECT_DEATH(run_deferred(hybrid_first),
+                 "violation: HJ\\(IJ-10x4x7,EJ-32x4\\) filtered");
+    EXPECT_DEATH(run_immediate(hybrid_first),
+                 "violation: HJ\\(IJ-10x4x7,EJ-32x4\\) filtered");
 }

@@ -75,7 +75,8 @@
  *                     [--filters SPEC[,...]] [--batch N] [--repeat K]
  *                     [--json FILE] [--dump-spec]
  *                     (sustained refs/sec of the batched delivery
- *                     pipeline; median of K cold runs, optional JSON)
+ *                     pipeline and the filter replay's share; median
+ *                     of K cold runs, optional JSON)
  *   jetty_cli fuzz    [--spec FILE] [--seed N] [--rounds N] [--refs N]
  *                     [--procs N] [--buses N] [--filters SPEC[,...]]
  *                     [--seconds S] [--smoke] [--audit-every N]
@@ -166,29 +167,6 @@ parseOptions(int argc, char **argv, int first)
     return opts;
 }
 
-/** Split a filter list on commas, but not inside HJ(...) parentheses. */
-std::vector<std::string>
-splitSpecs(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    int depth = 0;
-    for (char c : s) {
-        if (c == '(')
-            ++depth;
-        else if (c == ')')
-            --depth;
-        if (c == ',' && depth == 0) {
-            out.push_back(trim(cur));
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    out.push_back(trim(cur));
-    return out;
-}
-
 /** Validate @p specs; exits through the registry's describeFailure()
  *  (naming the offending token and its family's grammar) on any bad
  *  spec — no path prints a bare message or falls through with exit 0
@@ -231,7 +209,7 @@ overlayFilterFlag(const std::map<std::string, std::string> &opts,
 {
     if (!opts.count("filters"))
         return;
-    auto specs = splitSpecs(opts.at("filters"));
+    auto specs = splitFilterList(opts.at("filters"));
     requireValidFilters(specs);
     filters = specs;
 }
@@ -1042,7 +1020,9 @@ cmdReplay(const std::map<std::string, std::string> &opts)
  * cold runs (fresh system and sources each time, only run() timed),
  * reported per run and as a structured api::Report for trend tracking.
  * The median rides out one-sided contention spikes; the best run is
- * kept in the JSON as best_seconds for existing trend tooling.
+ * kept in the JSON as best_seconds for existing trend tooling. The
+ * deferred filter replay's median share of a run is printed as ns/ref
+ * and a percentage, and kept in the JSON as replay_seconds.
  */
 int
 cmdBench(const std::map<std::string, std::string> &opts)
@@ -1106,6 +1086,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
 
     std::uint64_t refs = 0;
     std::vector<double> seconds;
+    std::vector<double> replaySeconds;
     for (unsigned r = 0; r < repeat; ++r) {
         sim::SmpSystem sys(cfg);
         std::vector<trace::TraceSourcePtr> sources;
@@ -1120,11 +1101,15 @@ cmdBench(const std::map<std::string, std::string> &opts)
         sys.run();
         const auto t1 = Clock::now();
         seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+        replaySeconds.push_back(sys.replaySeconds());
         refs = sys.stats().aggregate().accesses;
     }
     const double best = *std::min_element(seconds.begin(), seconds.end());
     std::vector<double> sorted = seconds;
     const double median = medianInPlace(sorted);
+    // The deferred filter replay's share: median replay time against
+    // the median run time (SmpSystem times it per chunk flush).
+    const double replayMedian = medianInPlace(replaySeconds);
 
     std::printf("bench %s: %u procs, %u bus%s, %zu filters, batch %u, "
                 "%.2fM refs\n",
@@ -1137,6 +1122,9 @@ cmdBench(const std::map<std::string, std::string> &opts)
     }
     std::printf("sustained: %.1f Mrefs/s (median of %u)\n",
                 refs / 1e6 / median, repeat);
+    std::printf("filter replay: %.1f ns/ref (%.1f%% of run)\n",
+                refs == 0 ? 0.0 : replayMedian * 1e9 / refs,
+                median > 0 ? 100.0 * replayMedian / median : 0.0);
 
     if (opts.count("json")) {
         api::Report report("bench");
@@ -1154,6 +1142,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
         root.set("repeats", repeat);
         root.set("median_seconds", median);
         root.set("best_seconds", best);
+        root.set("replay_seconds", replayMedian);
         root.set("refs_per_sec",
                  api::Report::ratio(static_cast<double>(refs), median));
         if (!spec.traceFiles.empty()) {
