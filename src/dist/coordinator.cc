@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "experiments/run_result_json.hh"
 #include "service/executor.hh"
 #include "util/logging.hh"
 
@@ -16,6 +17,117 @@ namespace jetty::dist
 {
 
 using Clock = std::chrono::steady_clock;
+
+namespace
+{
+
+/** The standalone one-cell spec for one expanded request of a resolved
+ *  sweep spec: the sweep spec with the cell's (procs, buses) pinned on
+ *  both the machine and the sweep axes, the cell's app as the only
+ *  workload entry, and the coordinator's canonical filter names (worker
+ *  re-canonicalization is idempotent). */
+api::ExperimentSpec
+shardSpec(const api::ExperimentSpec &sweep,
+          const std::vector<std::string> &canonicalFilters,
+          const experiments::RunRequest &req)
+{
+    api::ExperimentSpec s = sweep;
+    s.machine.procs = req.variant.nprocs;
+    s.machine.buses = req.variant.snoopBuses;
+    s.sweepProcs = {req.variant.nprocs};
+    s.sweepBuses = {req.variant.snoopBuses};
+    s.filters = canonicalFilters;
+    if (sweep.traceFiles.empty())
+        s.apps = {req.app.abbrev};
+    return s;
+}
+
+/** A required field of @p v, or "" with @p why naming what is wrong. */
+const json::Value *
+field(const json::Value &v, const char *key, std::string &why)
+{
+    const json::Value *f = v.find(key);
+    if (!f)
+        why = std::string("response.") + key + ": missing field";
+    return f;
+}
+
+} // namespace
+
+std::string
+cellsAnswerFromJson(const json::Value &v, CellsAnswer &out)
+{
+    if (!v.isObject())
+        return "response: not a JSON object";
+    const json::Value *ver = v.find("jetty_response");
+    if (!ver || !ver->isNumber() || !ver->fitsU64())
+        return "response.jetty_response: missing version";
+    if (ver->asU64() != service::kProtocolVersion) {
+        return "response.jetty_response: version " +
+               std::to_string(ver->asU64()) +
+               " not supported (this build speaks " +
+               std::to_string(service::kProtocolVersion) + ")";
+    }
+    std::string why;
+    const json::Value *ok = field(v, "ok", why);
+    if (!ok)
+        return why;
+    if (!ok->isBool())
+        return "response.ok: not a bool";
+    CellsAnswer a;
+    if (!ok->asBool()) {
+        const json::Value *e = v.find("error");
+        a.error = e && e->isString() ? e->asString()
+                                     : "ok=false without an error";
+        out = std::move(a);
+        return "";
+    }
+    a.ok = true;
+    const auto u64 = [&v, &why](const char *key, std::uint64_t &dst) {
+        const json::Value *f = field(v, key, why);
+        if (f && !(f->isNumber() && f->fitsU64()))
+            why = std::string("response.") + key + ": not a u64";
+        if (!why.empty())
+            return false;
+        dst = f->asU64();
+        return true;
+    };
+    if (!u64("simulated", a.simulated) || !u64("disk_hits", a.diskHits) ||
+        !u64("mem_hits", a.memHits))
+        return why;
+    const json::Value *secs = field(v, "sweep_seconds", why);
+    if (!secs)
+        return why;
+    if (!secs->isNumber())
+        return "response.sweep_seconds: not a number";
+    a.sweepSeconds = secs->asDouble();
+    const json::Value *cells = field(v, "cells", why);
+    if (!cells)
+        return why;
+    if (!cells->isArray())
+        return "response.cells: not an array";
+    for (std::size_t i = 0; i < cells->items().size(); ++i) {
+        const json::Value &item = cells->items()[i];
+        const std::string at = "response.cells[" + std::to_string(i) + "]";
+        if (!item.isObject())
+            return at + ": not an object";
+        ResultCell cell;
+        const json::Value *key = item.find("key");
+        if (!key || !key->isString())
+            return at + ".key: not a string";
+        cell.key = key->asString();
+        const json::Value *result = item.find("result");
+        if (!result)
+            return at + ".result: missing field";
+        const std::string err =
+            experiments::runResultFromJson(*result, cell.result);
+        if (!err.empty())
+            return at + ".result: " + err;
+        a.cells.push_back(std::move(cell));
+    }
+    out = std::move(a);
+    return "";
+}
 
 json::Value
 ShardEvent::toJson() const
@@ -42,13 +154,14 @@ MergeTable::MergeTable(std::vector<std::string> cellKeys)
 }
 
 std::string
-MergeTable::apply(const ShardResponse &resp, std::uint64_t *duplicates)
+MergeTable::apply(const std::vector<ResultCell> &cells,
+                  std::uint64_t *duplicates)
 {
-    for (std::size_t i = 0; i < resp.results.size(); ++i) {
-        const ShardCell &cell = resp.results[i];
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const ResultCell &cell = cells[i];
         const auto it = index_.find(cell.key);
         if (it == index_.end()) {
-            return "shard_response.results[" + std::to_string(i) +
+            return "response.cells[" + std::to_string(i) +
                    "].key: unknown cell key '" + cell.key + "'";
         }
         if (filled_[it->second]) {
@@ -169,13 +282,8 @@ Coordinator::assign(std::size_t w, std::size_t s, bool stolen)
     ev.worker = static_cast<int>(w);
     emit(std::move(ev));
 
-    ShardRequest req;
-    req.shardId = s;
-    req.attempt = st.attempts;
-    req.cacheKey = keys_[s];
-    req.spec = shardSpecs_[s];
     std::string err;
-    if (!service::sendValue(wk.ep.writeFd, shardRequestToJson(req), &err))
+    if (!service::sendValue(wk.ep.writeFd, shardRequests_[s], &err))
         workerDied(w, "send: " + err);
 }
 
@@ -263,38 +371,42 @@ Coordinator::handleLine(std::size_t w)
         workerDied(w, "protocol breach (unparseable line): " + err);
         return;
     }
-    const std::string type = shardMessageType(msg);
-    if (type == "shard_started") {
-        ShardEvent ev;
-        ev.type = "started";
-        ev.shardId = wk.shard;
-        ev.attempt = wk.attempt;
-        ev.worker = static_cast<int>(w);
-        emit(std::move(ev));
+    if (!wk.busy) {
+        workerDied(w, "protocol breach (an answer with no request in "
+                      "flight)");
         return;
     }
-    if (type != "shard_response") {
-        workerDied(w, "protocol breach (unexpected message type '" + type +
-                          "')");
-        return;
-    }
-    ShardResponse resp;
-    const std::string perr = shardResponseFromJson(msg, resp);
+    CellsAnswer ans;
+    const std::string perr = cellsAnswerFromJson(msg, ans);
     if (!perr.empty()) {
         workerDied(w, perr);
         return;
     }
-    if (!wk.busy || resp.shardId != wk.shard) {
-        workerDied(w, "protocol breach (response for shard " +
-                          std::to_string(resp.shardId) +
-                          " it was not assigned)");
-        return;
-    }
 
+    // Answers come back in request order, one in flight per worker, so
+    // this answer is for the shard the worker holds.
     const std::size_t s = wk.shard;
+    const std::uint64_t attempt = wk.attempt;
     wk.busy = false;
     ShardState &st = shards_[s];
     --st.outstanding;
+
+    // The worker derived each cell's key from ITS expansion of the
+    // shard spec; a key other than ours means the two processes
+    // disagree on the canonical identity of the cell, merging would be
+    // unsound, and a retry would not heal it.
+    for (std::size_t i = 0; i < ans.cells.size(); ++i) {
+        if (ans.cells[i].key == keys_[s])
+            continue;
+        if (fail_.empty()) {
+            fail_ = "response.cells[" + std::to_string(i) +
+                    "].key: coordinator and worker disagree on the "
+                    "canonical cell key (coordinator '" +
+                    keys_[s] + "', worker '" + ans.cells[i].key +
+                    "') — cross-process determinism violation";
+        }
+        return;
+    }
 
     if (st.done) {
         // A stolen shard completed twice; the first answer already
@@ -304,18 +416,18 @@ Coordinator::handleLine(std::size_t w)
         ShardEvent ev;
         ev.type = "duplicate";
         ev.shardId = s;
-        ev.attempt = resp.attempt;
+        ev.attempt = attempt;
         ev.worker = static_cast<int>(w);
         ev.detail = "first-writer-wins; late result discarded";
         emit(std::move(ev));
         return;
     }
-    if (!resp.ok) {
-        shardFailed(s, static_cast<int>(w), resp.error);
+    if (!ans.ok) {
+        shardFailed(s, static_cast<int>(w), ans.error);
         return;
     }
     std::uint64_t dups = 0;
-    const std::string merr = table_->apply(resp, &dups);
+    const std::string merr = table_->apply(ans.cells, &dups);
     if (!merr.empty()) {
         if (fail_.empty())
             fail_ = merr;
@@ -324,19 +436,19 @@ Coordinator::handleLine(std::size_t w)
     st.done = true;
     if (out_) {
         out_->duplicates += dups;
-        out_->simulated += resp.simulated;
-        out_->diskHits += resp.diskHits;
-        out_->memHits += resp.memHits;
+        out_->simulated += ans.simulated;
+        out_->diskHits += ans.diskHits;
+        out_->memHits += ans.memHits;
     }
     ShardEvent ev;
     ev.type = "completed";
     ev.shardId = s;
-    ev.attempt = resp.attempt;
+    ev.attempt = attempt;
     ev.worker = static_cast<int>(w);
-    ev.wallSeconds = resp.wallSeconds;
-    ev.simulated = resp.simulated;
-    ev.diskHits = resp.diskHits;
-    ev.memHits = resp.memHits;
+    ev.wallSeconds = ans.sweepSeconds;
+    ev.simulated = ans.simulated;
+    ev.diskHits = ans.diskHits;
+    ev.memHits = ans.memHits;
     emit(std::move(ev));
 }
 
@@ -359,11 +471,12 @@ Coordinator::run(const api::ExperimentSpec &spec, CampaignResult &out)
     out.shards = n;
     shards_.assign(n, ShardState());
     keys_.clear();
-    shardSpecs_.clear();
+    shardRequests_.clear();
     for (const auto &req : out.requests) {
-        keys_.push_back(cellCacheKey(req));
-        shardSpecs_.push_back(
-            shardSpec(spec, out.filterNames, req).toJson());
+        keys_.push_back(service::cellCacheKey(req));
+        json::Value msg = service::makeRequest("cells");
+        msg.set("spec", shardSpec(spec, out.filterNames, req).toJson());
+        shardRequests_.push_back(std::move(msg));
     }
     table_ = std::make_unique<MergeTable>(keys_);
 
@@ -477,10 +590,9 @@ Coordinator::run(const api::ExperimentSpec &spec, CampaignResult &out)
                 continue;
             const std::size_t w = fdWorker[i];
             handleLine(w);
-            // One read() can buffer several lines (shard_started plus
-            // an instant cache-hit response); poll() cannot see the
-            // reader's userspace buffer, so drain it before sleeping —
-            // an undrained line would wedge the campaign.
+            // One read() can buffer several lines; poll() cannot see
+            // the reader's userspace buffer, so drain it before
+            // sleeping — an undrained line would wedge the campaign.
             while (workers_[w].alive &&
                    workers_[w].reader->hasBufferedLine())
                 handleLine(w);

@@ -1,12 +1,20 @@
 /**
  * @file
  * The coordinator half of the distributed sweep subsystem: expand a
- * resolved sweep spec into one-cell shards, dispatch them to workers
- * over the shard envelope (dist/shard.hh), and merge the responses into
- * a Report byte-identical to what a single-process `sweep` of the same
- * spec would have written (service::buildReport is the shared
- * constructor, and every result cell is keyed by the canonical
- * runCacheKey text, so identity holds by construction).
+ * resolved sweep spec into one-cell shards, send each to a worker as a
+ * "cells" request of the service protocol (service/protocol.hh), and
+ * merge the answers into a Report byte-identical to what a
+ * single-process `sweep` of the same spec would have written
+ * (service::buildReport is the shared constructor, and every result
+ * cell is keyed by the canonical runCacheKey text, so identity holds
+ * by construction).
+ *
+ * A worker has at most one request in flight and answers in request
+ * order, so shard ids and attempt counts never cross the wire; the
+ * coordinator keeps them locally for its events. It derives every
+ * shard's cell key itself and requires each answered cell to carry
+ * exactly that key — any other key fails the campaign as a
+ * cross-process determinism violation (a retry would not heal it).
  *
  * Robustness model (single-threaded poll loop; workers are processes
  * or threads behind fd pairs):
@@ -16,7 +24,7 @@
  *    assigned a second time. The first response wins; the straggler's
  *    late duplicate is discarded and logged ("duplicate" event).
  *  - **Bounded retry**: a worker death (EOF / transport error, any
- *    time including mid-shard) or an ok=false response re-queues the
+ *    time including mid-shard) or an ok=false answer re-queues the
  *    shard, up to `maxRetries` failures per shard; the factory (when
  *    provided) respawns up to `maxRespawns` replacement workers.
  *  - **Resume**: every cell a worker finishes lands in the workers'
@@ -24,8 +32,8 @@
  *    against the same cache directory re-dispatches every shard but
  *    answers the finished ones as disk hits, not re-simulations.
  *  - **Observability**: every state change emits a structured
- *    ShardEvent (assigned / started / completed / stolen / retried /
- *    duplicate / worker_died) with wall time and simulated-vs-cache-hit
+ *    ShardEvent (assigned / completed / stolen / retried / duplicate /
+ *    worker_died) with wall time and simulated-vs-cache-hit
  *    counters, streamed to `eventSink` and collected on the
  *    CampaignResult.
  */
@@ -43,7 +51,7 @@
 #include <vector>
 
 #include "api/experiment_spec.hh"
-#include "dist/shard.hh"
+#include "experiments/experiments.hh"
 #include "service/protocol.hh"
 #include "util/json.hh"
 
@@ -53,12 +61,12 @@ namespace jetty::dist
 /** One structured progress event of a campaign. */
 struct ShardEvent
 {
-    std::string type;  //!< assigned/started/completed/stolen/retried/
+    std::string type;  //!< assigned/completed/stolen/retried/
                        //!< duplicate/worker_died
     std::uint64_t shardId = 0;
     std::uint64_t attempt = 0;
     int worker = -1;   //!< worker index (-1 when not worker-bound)
-    double wallSeconds = 0;
+    double wallSeconds = 0;  //!< completed: the worker's runMany() time
     std::uint64_t simulated = 0;
     std::uint64_t diskHits = 0;
     std::uint64_t memHits = 0;
@@ -66,6 +74,34 @@ struct ShardEvent
 
     json::Value toJson() const;
 };
+
+/** One answered cell: canonical key plus the full run result. */
+struct ResultCell
+{
+    std::string key;
+    experiments::AppRunResult result;
+};
+
+/** A worker's parsed answer to one "cells" request (ok=false carries
+ *  the worker's diagnostic; the cells array may legally be empty — an
+ *  empty answer merges as a no-op and campaign completeness is checked
+ *  per cell, not per message). */
+struct CellsAnswer
+{
+    bool ok = false;
+    std::string error;
+    std::uint64_t simulated = 0;
+    std::uint64_t diskHits = 0;
+    std::uint64_t memHits = 0;
+    double sweepSeconds = 0;  //!< the worker's runMany() wall time
+    std::vector<ResultCell> cells;
+};
+
+/** Validating reader of a "cells" answer line. @return "" on success,
+ *  else a dotted-path diagnostic ("response.cells[0].key: not a
+ *  string"). An ok=false answer reads successfully, with ok=false and
+ *  the worker's error. @p out is only assigned on success. */
+std::string cellsAnswerFromJson(const json::Value &v, CellsAnswer &out);
 
 /** A worker the coordinator talks to: two fds (which may be the same
  *  fd, e.g. a socket) and, for locally spawned processes, the pid to
@@ -102,7 +138,7 @@ struct CoordinatorConfig
 
 /** Everything one distributed campaign produced. The report field is
  *  the byte-identity artifact; the counters aggregate the per-shard
- *  responses plus coordinator-side bookkeeping. */
+ *  answers plus coordinator-side bookkeeping. */
 struct CampaignResult
 {
     api::ExperimentSpec spec;
@@ -134,9 +170,10 @@ class MergeTable
   public:
     explicit MergeTable(std::vector<std::string> cellKeys);
 
-    /** Apply one ok response. An empty results array is a no-op.
+    /** Apply the cells of one ok answer. An empty array is a no-op.
      *  @return "" on success, else the dotted-path diagnostic. */
-    std::string apply(const ShardResponse &resp, std::uint64_t *duplicates);
+    std::string apply(const std::vector<ResultCell> &cells,
+                      std::uint64_t *duplicates);
 
     bool complete() const;
     std::vector<std::string> missingKeys() const;
@@ -204,7 +241,7 @@ class Coordinator
     std::vector<Worker> workers_;
     std::vector<ShardState> shards_;
     std::vector<std::string> keys_;
-    std::vector<json::Value> shardSpecs_;
+    std::vector<json::Value> shardRequests_;  //!< one "cells" request each
     std::deque<std::size_t> pending_;
     std::unique_ptr<MergeTable> table_;
     CampaignResult *out_ = nullptr;

@@ -1,127 +1,15 @@
 #include "dist/worker.hh"
 
-#include <chrono>
-#include <utility>
-
-#include "service/executor.hh"
-#include "service/protocol.hh"
+#include "service/server.hh"
 
 namespace jetty::dist
 {
 
-ShardResponse
-executeShard(const ShardRequest &req, unsigned jobs)
-{
-    using Clock = std::chrono::steady_clock;
-
-    ShardResponse resp;
-    resp.shardId = req.shardId;
-    resp.attempt = req.attempt;
-
-    std::string err;
-    api::ExperimentSpec spec = api::ExperimentSpec::fromJson(req.spec, &err);
-    if (!err.empty()) {
-        resp.error = "shard_request.spec: " + err;
-        return resp;
-    }
-    // Every shard spec is a one-cell sweep; resolving it under the
-    // sweep verb validates it through the same schema round-trip the
-    // coordinator's own spec went through.
-    if (!(err = service::resolveSpec(spec, "sweep")).empty()) {
-        resp.error = "shard_request.spec: " + err;
-        return resp;
-    }
-
-    const std::vector<std::string> names =
-        service::canonicalFilterNames(spec);
-    std::vector<experiments::RunRequest> requests = spec.expand();
-    if (requests.empty()) {
-        // An empty shard is legal: answer ok with no result cells.
-        resp.ok = true;
-        return resp;
-    }
-    std::vector<std::string> keys;
-    for (auto &r : requests) {
-        r.filterSpecs = names;
-        keys.push_back(cellCacheKey(r));
-    }
-    // The coordinator derived the key from ITS expansion of the same
-    // spec text; a mismatch means the two processes disagree on the
-    // canonical identity of the cell and merging would be unsound.
-    if (requests.size() == 1 && !req.cacheKey.empty() &&
-        keys[0] != req.cacheKey) {
-        resp.error = "shard_request.cacheKey: coordinator and worker "
-                     "disagree on the canonical cell key (coordinator '" +
-                     req.cacheKey + "', worker '" + keys[0] +
-                     "') — cross-process determinism violation";
-        return resp;
-    }
-
-    auto &cache = experiments::RunCache::instance();
-    const std::uint64_t sims0 = cache.simulations();
-    const std::uint64_t hits0 = cache.hits();
-    const std::uint64_t disk0 = cache.diskHits();
-
-    const auto t0 = Clock::now();
-    std::vector<experiments::AppRunResult> runs =
-        experiments::runMany(requests, jobs);
-    resp.wallSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-
-    resp.simulated = cache.simulations() - sims0;
-    resp.diskHits = cache.diskHits() - disk0;
-    resp.memHits = cache.hits() - hits0 - resp.diskHits;
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        resp.results.push_back({keys[i], std::move(runs[i])});
-    resp.ok = true;
-    return resp;
-}
-
 int
 runWorkerLoop(int inFd, int outFd, const WorkerOptions &opts)
 {
-    service::LineReader reader(inFd);
-    std::string line;
-    std::string err;
-    std::uint64_t received = 0;
-    for (;;) {
-        const int got = reader.readLine(line, &err);
-        if (got == 0)
-            return 0;
-        if (got < 0)
-            return 1;
-        ++received;
-
-        ShardRequest req;
-        std::string parseErr;
-        const json::Value msg = json::parse(line, &parseErr);
-        if (parseErr.empty())
-            parseErr = shardRequestFromJson(msg, req);
-        else
-            parseErr = "shard_request: parse error: " + parseErr;
-        if (!parseErr.empty()) {
-            // Answer the malformed request (best-effort shard id from a
-            // partial parse) instead of dying: the coordinator decides
-            // whether to retry or abort.
-            ShardResponse resp;
-            resp.shardId = req.shardId;
-            resp.attempt = req.attempt;
-            resp.error = parseErr;
-            if (!service::sendValue(outFd, shardResponseToJson(resp), &err))
-                return 1;
-            continue;
-        }
-
-        if (!service::sendValue(
-                outFd, shardStartedToJson(req.shardId, req.attempt), &err))
-            return 1;
-        if (opts.faultHook && opts.faultHook(received))
-            return 2;
-
-        const ShardResponse resp = executeShard(req, opts.jobs);
-        if (!service::sendValue(outFd, shardResponseToJson(resp), &err))
-            return 1;
-    }
+    return service::serveStream(inFd, outFd, opts.jobs, nullptr,
+                                opts.faultHook);
 }
 
 } // namespace jetty::dist

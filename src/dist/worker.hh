@@ -1,22 +1,23 @@
 /**
  * @file
- * The worker half of the distributed sweep subsystem: a loop that
- * serves shard_request lines from one fd and answers shard_started /
- * shard_response lines on another, executing each shard's standalone
- * spec through the shared two-tier RunCache.
+ * The worker half of the distributed sweep subsystem: the service
+ * request loop (service::serveStream) run over an fd pair instead of a
+ * socket. A worker speaks the whole service protocol — the coordinator
+ * sends it "cells" requests, and "ping", "stats", "shutdown" and
+ * ok=false answers to malformed input come with the loop.
  *
  * The loop is transport-agnostic — `jetty_cli worker` runs it over
  * stdin/stdout of a forked process, the tests run it on pipe pairs
  * inside worker threads, and any stream a caller can express as two
  * fds (an ssh channel, a socket) works unchanged.
  *
- * Execution path: the shard spec is resolved and expand()ed exactly
- * like a single-process sweep cell (NOT the executor's replay verb,
- * whose labels differ), so the AppRunResults a worker produces are
- * value-identical to what the coordinator's own process would have
- * computed — the cross-process half of the determinism contract. The
- * worker re-derives every cell's canonical cache key and refuses a
- * shard whose key disagrees with the coordinator's.
+ * Execution path: a shard is a one-cell sweep spec executed through
+ * service::executeSpec (resolved and expand()ed exactly like a
+ * single-process sweep cell), so the AppRunResults a worker produces
+ * are value-identical to what the coordinator's own process would have
+ * computed — the cross-process half of the determinism contract. Each
+ * answered cell carries its canonical cache key, which the coordinator
+ * checks against its own derivation.
  */
 
 #ifndef JETTY_DIST_WORKER_HH
@@ -25,8 +26,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "dist/shard.hh"
-
 namespace jetty::dist
 {
 
@@ -34,21 +33,17 @@ struct WorkerOptions
 {
     unsigned jobs = 0;  //!< SweepRunner override (0 = shared default)
 
-    /** Fault-injection hook, called with the 1-based count of requests
-     *  received after shard_started is sent but before execution;
-     *  returning true abandons the loop without responding (a mid-shard
-     *  worker death, as the coordinator observes it). */
+    /** Fault-injection hook, called with the 1-based count of request
+     *  lines read, after the read and before the request is handled;
+     *  returning true abandons the loop without responding (a
+     *  mid-shard worker death, as the coordinator observes it). */
     std::function<bool(std::uint64_t)> faultHook;
 };
 
-/** Execute one shard request through the shared RunCache. Failures are
- *  returned as an ok=false response, never raised — a malformed shard
- *  must not take the worker down. */
-ShardResponse executeShard(const ShardRequest &req, unsigned jobs);
-
-/** Serve shard requests from @p inFd until EOF.
- *  @return 0 on clean EOF, 1 on a transport error, 2 when the fault
- *  hook abandoned a shard. */
+/** Serve requests from @p inFd, answering on @p outFd, until EOF or a
+ *  "shutdown" request.
+ *  @return 0 on a clean end, 1 on a transport error, 2 when the fault
+ *  hook abandoned a request. */
 int runWorkerLoop(int inFd, int outFd, const WorkerOptions &opts);
 
 } // namespace jetty::dist

@@ -177,6 +177,14 @@ resolveSpec(api::ExperimentSpec &spec, const std::string &kind)
     return requireVariantMachine(spec);
 }
 
+std::string
+cellCacheKey(const experiments::RunRequest &req)
+{
+    const double scale =
+        req.accessScale > 0 ? req.accessScale : experiments::defaultScale();
+    return api::runCacheKey(req, scale);
+}
+
 std::vector<std::string>
 canonicalFilterNames(const api::ExperimentSpec &spec)
 {

@@ -98,6 +98,12 @@ std::string executeResolved(const api::ExperimentSpec &spec,
 std::string executeSpec(api::ExperimentSpec spec, unsigned jobs,
                         ExecuteResult &out);
 
+/** Canonical RunCache key of one expanded cell — the identity runMany()
+ *  itself caches under. The `cells` verb labels every answered cell
+ *  with it, and the distributed coordinator derives it independently
+ *  to check the label. */
+std::string cellCacheKey(const experiments::RunRequest &req);
+
 /** The spec's filter specs canonicalized under its machine's address
  *  map — results carry canonical names, so these are the lookup keys
  *  and report column headers. */

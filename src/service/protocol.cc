@@ -147,31 +147,40 @@ LineReader::takeBuffered(std::string &line, std::string *err)
 }
 
 int
+LineReader::readChunk(std::string *err)
+{
+    char chunk[64 * 1024];
+    // read(), not recv(): the reader also serves non-socket
+    // transports (worker pipes).
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+    if (n < 0) {
+        if (errno == EINTR)
+            return 1;
+        if (err)
+            *err = "read: " + errnoString();
+        return -1;
+    }
+    if (n == 0) {
+        if (buf_.empty())
+            return 0;
+        if (err)
+            *err = "connection closed mid-line";
+        return -1;
+    }
+    buf_.append(chunk, static_cast<std::size_t>(n));
+    return 1;
+}
+
+int
 LineReader::readLine(std::string &line, std::string *err)
 {
     for (;;) {
         const int buffered = takeBuffered(line, err);
         if (buffered != 0)
             return buffered;
-        char chunk[64 * 1024];
-        // read(), not recv(): the reader also serves non-socket
-        // transports (worker pipes).
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = "read: " + errnoString();
-            return -1;
-        }
-        if (n == 0) {
-            if (buf_.empty())
-                return 0;
-            if (err)
-                *err = "connection closed mid-line";
-            return -1;
-        }
-        buf_.append(chunk, static_cast<std::size_t>(n));
+        const int got = readChunk(err);
+        if (got <= 0)
+            return got;
     }
 }
 
@@ -203,25 +212,9 @@ LineReader::readLineTimeout(std::string &line, int timeoutMs,
         }
         if (ready == 0)
             return kReadTimedOut;
-        char chunk[64 * 1024];
-        // read(), not recv(): the reader also serves non-socket
-        // transports (worker pipes).
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = "read: " + errnoString();
-            return -1;
-        }
-        if (n == 0) {
-            if (buf_.empty())
-                return 0;
-            if (err)
-                *err = "connection closed mid-line";
-            return -1;
-        }
-        buf_.append(chunk, static_cast<std::size_t>(n));
+        const int got = readChunk(err);
+        if (got <= 0)
+            return got;
     }
 }
 

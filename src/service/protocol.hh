@@ -1,13 +1,23 @@
 /**
  * @file
- * Wire protocol of the experiment service (`jetty_cli serve`): unix
- * stream sockets carrying newline-delimited compact JSON, one value per
- * line in each direction.
+ * The one wire protocol of this tree: newline-delimited compact JSON,
+ * one value per line in each direction. `jetty_cli serve` speaks it on
+ * unix stream sockets, and a distributed-sweep worker (`jetty_cli
+ * worker`) speaks it on a pipe pair — both run the same request loop
+ * (service::serveStream).
  *
- * Request:  {"jetty_request": 1, "verb": "run|ping|stats|shutdown",
- *            "spec": {...}}              (spec only for "run")
+ * Request:  {"jetty_request": 1,
+ *            "verb": "run|cells|ping|stats|shutdown",
+ *            "spec": {...}}         (spec only for "run" and "cells")
  * Response: {"jetty_response": 1, "ok": true, ...}
  *        or {"jetty_response": 1, "ok": false, "error": "..."}
+ *
+ * "run" answers the spec's Report; "cells" answers the same execution
+ * as per-cell results keyed by their canonical cache key (the
+ * distributed coordinator's shard verb):
+ *   {"jetty_response": 1, "ok": true, "simulated": N, "disk_hits": N,
+ *    "mem_hits": N, "sweep_seconds": S,
+ *    "cells": [{"key": "...", "result": {...}}]}
  *
  * Values are framed with json::Value::dumpCompact() — no interior
  * newlines, insertion order preserved — so parse(line) on the far side
@@ -89,6 +99,11 @@ class LineReader
     /** Pop a buffered line if one is complete; enforce kMaxLineBytes.
      *  @return 1 (line), -1 (too long), 0 (need more data). */
     int takeBuffered(std::string &line, std::string *err);
+
+    /** One read() onto the buffer. @return 1 (data appended, or EINTR:
+     *  try again), 0 (clean EOF), -1 with @p err set (read error or EOF
+     *  mid-line). */
+    int readChunk(std::string *err);
 
     int fd_;
     std::string buf_;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "api/experiment_spec.hh"
+#include "experiments/run_result_json.hh"
 #include "service/executor.hh"
 #include "service/protocol.hh"
 #include "util/logging.hh"
@@ -61,14 +62,16 @@ handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
         resp.set("stopping", true);
         return resp;
     }
-    if (verb->asString() != "run") {
+    const bool run = verb->asString() == "run";
+    if (!run && verb->asString() != "cells") {
         return makeErrorResponse("unknown verb '" + verb->asString() +
                                  "'");
     }
 
     const json::Value *specNode = req.find("spec");
     if (!specNode)
-        return makeErrorResponse("run request carries no spec");
+        return makeErrorResponse(verb->asString() +
+                                 " request carries no spec");
     std::string err;
     api::ExperimentSpec spec = api::ExperimentSpec::fromJson(*specNode,
                                                             &err);
@@ -81,15 +84,73 @@ handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
         return makeErrorResponse(err);
 
     resp.set("ok", true);
-    resp.set("kind", result.kind);
+    if (run)
+        resp.set("kind", result.kind);
     resp.set("simulated", result.simulated);
     resp.set("disk_hits", result.diskHits);
     resp.set("mem_hits", result.memHits);
-    resp.set("report", std::move(result.report));
+    if (run) {
+        resp.set("report", std::move(result.report));
+        return resp;
+    }
+    // "cells": the per-cell results themselves, each labelled with the
+    // canonical key it was computed under.
+    resp.set("sweep_seconds", result.sweepSeconds);
+    json::Value cells = json::Value::array();
+    for (std::size_t i = 0; i < result.runs.size(); ++i) {
+        json::Value cell = json::Value::object();
+        cell.set("key", cellCacheKey(result.requests[i]));
+        cell.set("result", experiments::runResultToJson(result.runs[i]));
+        cells.push(std::move(cell));
+    }
+    resp.set("cells", std::move(cells));
     return resp;
 }
 
 } // namespace
+
+int
+serveStream(int inFd, int outFd, unsigned jobs, std::atomic<bool> *stop,
+            const std::function<bool(std::uint64_t)> &beforeHandle)
+{
+    LineReader reader(inFd);
+    std::string line;
+    std::string err;
+    std::uint64_t received = 0;
+    for (;;) {
+        // With a stop flag the read is bounded, so an idle (or wedged)
+        // peer cannot pin the loop open across a stop request: a
+        // request already being executed always finishes and gets its
+        // response, but between requests the stop flag wins.
+        const int got = stop ? reader.readLineTimeout(line, 200, &err)
+                             : reader.readLine(line, &err);
+        if (got == kReadTimedOut) {
+            if (stop->load())
+                return 0;
+            continue;
+        }
+        if (got == 0)
+            return 0;
+        if (got < 0)
+            return 1;  // a framing error: the peer is gone
+        if (beforeHandle && beforeHandle(++received))
+            return 2;
+        json::Value req = json::parse(line, &err);
+        json::Value resp;
+        bool shutdown = false;
+        if (!err.empty())
+            resp = makeErrorResponse("request parse error: " + err);
+        else
+            resp = handleRequest(req, jobs, shutdown);
+        if (!sendValue(outFd, resp, &err))
+            return 1;
+        if (shutdown) {
+            if (stop)
+                stop->store(true);
+            return 0;
+        }
+    }
+}
 
 ExperimentServer::ExperimentServer(ServerConfig cfg) : cfg_(std::move(cfg))
 {
@@ -182,36 +243,7 @@ ExperimentServer::joinAll()
 void
 ExperimentServer::serveClient(int fd)
 {
-    LineReader reader(fd);
-    std::string line;
-    std::string err;
-    for (;;) {
-        // A bounded read keeps an idle (or wedged) client from pinning
-        // the daemon open across a stop request: a request already
-        // being executed always finishes and gets its response, but
-        // between requests the stop flag wins.
-        const int got = reader.readLineTimeout(line, 200, &err);
-        if (got == kReadTimedOut) {
-            if (stop_.load())
-                break;
-            continue;
-        }
-        if (got <= 0)
-            break;  // EOF or a framing error: the client is gone
-        json::Value req = json::parse(line, &err);
-        json::Value resp;
-        bool shutdown = false;
-        if (!err.empty())
-            resp = makeErrorResponse("request parse error: " + err);
-        else
-            resp = handleRequest(req, cfg_.jobs, shutdown);
-        if (!sendValue(fd, resp, &err))
-            break;
-        if (shutdown) {
-            requestStop();
-            break;
-        }
-    }
+    serveStream(fd, fd, cfg_.jobs, &stop_, nullptr);
     ::close(fd);
 }
 

@@ -13,10 +13,15 @@
  * jobs interleave on the shared cache exactly like the multi-threaded
  * bench harness does.
  *
- * Verbs: "run" (execute a spec, stream the report back), "ping",
- * "stats" (cache counters), "shutdown" (acknowledge, then stop the
- * daemon). Any malformed request gets ok=false; nothing a client sends
- * can take the daemon down.
+ * Verbs: "run" (execute a spec, stream the report back), "cells"
+ * (execute a spec, answer its per-cell results under their canonical
+ * keys), "ping", "stats" (cache counters), "shutdown" (acknowledge,
+ * then stop the daemon). Any malformed request gets ok=false; nothing
+ * a client sends can take the daemon down.
+ *
+ * Every connection runs serveStream(), the one request loop of the
+ * protocol — a distributed-sweep worker is the same loop over a pipe
+ * pair (dist::runWorkerLoop).
  *
  * Graceful drain: requestStop() (SIGTERM/SIGINT path) first closes and
  * unlinks the listening socket — new connections are refused — then
@@ -29,6 +34,8 @@
 #define JETTY_SERVICE_SERVER_HH
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <string>
@@ -36,6 +43,23 @@
 
 namespace jetty::service
 {
+
+/**
+ * The request loop: read one request line from @p inFd, answer it on
+ * @p outFd, repeat — until EOF, a transport error, a "shutdown"
+ * request (which also raises @p stop when given), or @p stop itself.
+ * @param jobs SweepRunner override for executed specs (0 = shared pool).
+ * @param stop optional; when set, reads are bounded so the flag is
+ *        noticed between requests.
+ * @param beforeHandle optional; called with the 1-based count of
+ *        request lines read, after the read and before handling —
+ *        returning true abandons the stream without answering (a
+ *        fault-injection hook).
+ * @return 0 on a clean end, 1 on a transport error, 2 when
+ *         @p beforeHandle abandoned the stream.
+ */
+int serveStream(int inFd, int outFd, unsigned jobs, std::atomic<bool> *stop,
+                const std::function<bool(std::uint64_t)> &beforeHandle);
 
 struct ServerConfig
 {

@@ -196,12 +196,16 @@ SmpSystem::run()
     // Walk mode. With a direct-mapped L1 a probe is one scalar load, and
     // the fused drain — classify-and-retire in a single pass per row —
     // out-runs the three-stage pipeline's separate classify/scan/retire
-    // array passes on every workload we measured, hit-heavy ones
-    // included. An associative L1 flips the trade: there the SIMD
-    // pre-classifier replaces a whole multi-way tag scan per reference,
-    // and the run splitter pays for itself. Both walks retire the same
-    // schedule in the same order, so the choice is invisible in the
-    // statistics (asserted by test_differential across geometries).
+    // array passes: forcing the pipeline walk on perfbench lu-cold
+    // raised run_s from 0.93-1.13 to 1.49-1.54 s (3/3 alternating
+    // pairs, 4-core AVX2 host). An associative L1 flips the trade:
+    // there the SIMD pre-classifier replaces a whole multi-way tag scan
+    // per reference, and the run splitter pays for itself — forcing the
+    // fused walk on fm-replay-l1x4 raised run_s from 0.169-0.226 to
+    // 0.222-0.267 s (36-48 -> 30-36 Mrefs/s, 6/6 pairs). Both walks
+    // retire the same schedule in the same order, so the choice is
+    // invisible in the statistics (asserted by test_differential across
+    // geometries).
     const bool fused_walk = cfg_.l1.assoc == 1;
 
     for (auto &node : nodes_)

@@ -1,9 +1,11 @@
-# Multi-process smoke for the distributed sweep subsystem (ISSUE 10
-# acceptance): a coordinator with two forked `jetty_cli worker`
-# processes — one killed mid-shard — must complete the campaign, a rerun
-# against the same disk cache must resume it without re-simulating
-# anything, and both the resumed and the plain single-process Report
-# must be byte-identical to the distributed one. Run as:
+# Multi-process smoke for the distributed sweep subsystem: a coordinator
+# with two forked `jetty_cli worker` processes (each the serve request
+# loop on a pipe pair, answering "cells" requests) — one killed after
+# reading its first request, before answering — must complete the
+# campaign, a rerun against the same disk cache must resume it without
+# re-simulating anything, and both the resumed and the plain
+# single-process Report must be byte-identical to the distributed one.
+# Run as:
 #   cmake -DCLI=<jetty_cli> -DSPEC=<distributed.spec.json> -DWORK=<dir>
 #         -P dist_smoke.cmake
 foreach(var CLI SPEC WORK)

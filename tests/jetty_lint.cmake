@@ -3,8 +3,7 @@
 #   1. Every rule family fires on its planted fixture violation with the
 #      rule name and file:line (tests/lint_fixtures/<family>/ trees) —
 #      including the serialization-completeness check catching a counter
-#      deliberately omitted from its X-macro list, for both the one-arg
-#      disk-cache lists and the two-arg shard envelope lists.
+#      deliberately omitted from its X-macro list.
 #   2. The escape hatch parses: a justified allow() suppresses (and only
 #      then); a missing justification, an unknown rule, and a stale
 #      annotation are all findings themselves.
@@ -64,21 +63,8 @@ lint_expect(${FIXTURES}/fatal 1
 # directions (missing member, stale list entry).
 lint_expect(${FIXTURES}/serialization 1
             "BusStats::upgrades is missing from JETTY_BUS_STAT_FIELDS"
-            "src/sim/interconnect.hh:14"
+            "src/sim/interconnect.hh:15"
             "names 'snoops', which is not a scalar member")
-
-# The shard envelope variant: two-arg X(name, kind) entries parse, the
-# omitted field is named in both directions plus by the serializer-TU
-# reference check, and a string member present in the list stays silent
-# (strings count as scalar). The pinned count of exactly 3 findings is
-# the regression guard: if two-arg parsing broke, every in-sync field
-# would be reported missing as well.
-lint_expect(${FIXTURES}/shard_serialization 1
-            "ShardResponse::wallSeconds is missing from JETTY_SHARD_RESPONSE_FIELDS"
-            "src/dist/shard_msg.hh:16"
-            "names 'latency', which is not a scalar member"
-            "ShardResponse::wallSeconds is never referenced in shard.cc"
-            "jetty_lint: 3 findings")
 
 # Negative controls must NOT fire, pinned by exact finding counts:
 #   determinism: steady_clock + time(with-arg) (src/sim/ok_clock.cc)
@@ -86,10 +72,13 @@ lint_expect(${FIXTURES}/shard_serialization 1
 #   atomic:      read-mode fopen (bad_write.cc:26) and the allowlisted
 #                sanctioned implementation (src/util/atomic_file.cc)
 #   fatal:       exit() under tools/ (tools/ok_cli.cc)
+#   serialization: a std::string member present in its list (strings
+#                count as scalar), src/sim/interconnect.hh:16
 lint_expect(${FIXTURES}/determinism 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/unordered 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/atomic 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/fatal 1 "jetty_lint: 2 findings")
+lint_expect(${FIXTURES}/serialization 1 "jetty_lint: 2 findings")
 
 # ---- 2. escape-hatch parsing ------------------------------------------
 lint_expect(${FIXTURES}/escape_ok 0 "clean")

@@ -1,9 +1,11 @@
 // Fixture: the serializer side — an X-macro field list that silently
 // dropped a counter (and carries one stale entry for the reverse check).
+// `label` is a string member: listing it must stay silent.
 #define JETTY_BUS_STAT_FIELDS(X)                                             \
     X(transactions)                                                          \
     X(reads)                                                                 \
     X(readXs)                                                                \
+    X(label)                                                                 \
     X(snoops)
 
 namespace jetty::experiments

@@ -2,6 +2,7 @@
 // `upgrades` is deliberately omitted from the X-macro list in
 // ../experiments/run_result_json.cc — the lint must name it.
 #include <cstdint>
+#include <string>
 
 namespace jetty::sim
 {
@@ -11,7 +12,8 @@ struct BusStats
     std::uint64_t transactions = 0;
     std::uint64_t reads = 0;
     std::uint64_t readXs = 0;
-    std::uint64_t upgrades = 0;  // line 14: missing from the X list
+    std::uint64_t upgrades = 0;  // line 15: missing from the X list
+    std::string label;  // negative control: strings are scalar, listed
 };
 
 } // namespace jetty::sim

@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the distributed sweep subsystem (src/dist/): the versioned
- * shard envelope round-trips and rejects what it does not speak with
- * dotted-path diagnostics, the MergeTable handles the edge cases
- * (empty shard, stolen-then-completed duplicate, unknown key), real
- * coordinator campaigns over thread workers produce Reports
- * byte-identical to the single-process sweep at any worker count —
- * including under an injected mid-shard worker death — and a rerun
- * against the same disk tier replays finished cells losslessly.
+ * Tests for the distributed sweep subsystem (src/dist/): a worker's
+ * "cells" answer round-trips losslessly and the coordinator's reader
+ * rejects what it does not speak with dotted-path diagnostics, the
+ * worker (the service request loop on a pipe pair) answers bad input
+ * ok=false and keeps serving, the MergeTable handles the edge cases
+ * (empty shard, stolen-then-completed duplicate, unknown key), a cell
+ * key disagreement fails the campaign, real coordinator campaigns over
+ * thread workers produce Reports byte-identical to the single-process
+ * sweep at any worker count — including under an injected mid-shard
+ * worker death — and a rerun against the same disk tier replays
+ * finished cells losslessly.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <string>
@@ -22,7 +26,6 @@
 
 #include "api/experiment_spec.hh"
 #include "dist/coordinator.hh"
-#include "dist/shard.hh"
 #include "dist/worker.hh"
 #include "experiments/experiments.hh"
 #include "experiments/run_result_json.hh"
@@ -62,6 +65,16 @@ tinySweepSpec()
     return spec;
 }
 
+/** A one-cell sweep (lu on one bus), resolved like tinySweepSpec(). */
+api::ExperimentSpec
+oneCellSweepSpec()
+{
+    api::ExperimentSpec spec = tinySweepSpec();
+    spec.apps = {"lu"};
+    spec.sweepBuses = {1};
+    return spec;
+}
+
 /** One in-process worker: a thread running the real runWorkerLoop over
  *  a pipe pair, indistinguishable (to the coordinator) from a forked
  *  `jetty_cli worker`. */
@@ -89,129 +102,166 @@ startThreadWorker(ThreadWorker &tw, const dist::WorkerOptions &wopts)
     });
 }
 
-/** A fabricated ok response carrying one cell (for merge-table tests;
- *  the result payload only needs to be distinguishable, not real). */
-dist::ShardResponse
-fakeResponse(std::uint64_t shardId, const std::string &key,
-             double simSeconds)
+/** Hang up on a thread worker (EOF on its request pipe) and join it. */
+void
+stopThreadWorker(ThreadWorker &tw)
 {
-    dist::ShardResponse resp;
-    resp.shardId = shardId;
-    resp.attempt = 1;
-    resp.ok = true;
-    resp.simulated = 1;
-    dist::ShardCell cell;
+    ::close(tw.endpoint.writeFd);
+    tw.thread.join();
+    ::close(tw.endpoint.readFd);
+}
+
+/** Send one line to a thread worker and read its one answer, parsed. */
+json::Value
+ask(ThreadWorker &tw, const std::string &line)
+{
+    std::string err;
+    EXPECT_TRUE(service::sendLine(tw.endpoint.writeFd, line, &err)) << err;
+    service::LineReader reader(tw.endpoint.readFd);
+    std::string answer;
+    EXPECT_EQ(reader.readLine(answer, &err), 1) << err;
+    const json::Value v = json::parse(answer, &err);
+    EXPECT_EQ(err, "") << answer;
+    return v;
+}
+
+/** A "cells" request for @p spec, as the coordinator sends it. */
+std::string
+cellsRequest(const api::ExperimentSpec &spec)
+{
+    json::Value req = service::makeRequest("cells");
+    req.set("spec", spec.toJson());
+    return req.dumpCompact();
+}
+
+/** The "ok" flag of an answer; fails the test if it is not a bool. */
+bool
+answerOk(const json::Value &v)
+{
+    const json::Value *ok = v.find("ok");
+    EXPECT_TRUE(ok && ok->isBool()) << v.dumpCompact();
+    return ok && ok->isBool() && ok->asBool();
+}
+
+/** A scripted worker's ok "cells" answer carrying one cell. */
+json::Value
+cellsAnswer(const std::string &key, const experiments::AppRunResult &result)
+{
+    json::Value v = json::Value::object();
+    v.set("jetty_response", service::kProtocolVersion);
+    v.set("ok", true);
+    v.set("simulated", 0);
+    v.set("disk_hits", 0);
+    v.set("mem_hits", 1);
+    v.set("sweep_seconds", 0.0);
+    json::Value cell = json::Value::object();
+    cell.set("key", key);
+    cell.set("result", experiments::runResultToJson(result));
+    json::Value cells = json::Value::array();
+    cells.push(std::move(cell));
+    v.set("cells", std::move(cells));
+    return v;
+}
+
+/** Fabricated cells carrying one result (for merge-table tests; the
+ *  result payload only needs to be distinguishable, not real). */
+std::vector<dist::ResultCell>
+fakeCells(const std::string &key, double simSeconds)
+{
+    dist::ResultCell cell;
     cell.key = key;
     cell.result.appName = "fake";
     cell.result.abbrev = "fk";
     cell.result.simSeconds = simSeconds;
-    resp.results.push_back(cell);
-    return resp;
+    return {cell};
 }
 
 } // namespace
 
-TEST(ShardEnvelope, RequestRoundTrips)
+TEST(CellsAnswer, RoundTripsThroughARealWorker)
 {
-    dist::ShardRequest req;
-    req.shardId = 7;
-    req.attempt = 2;
-    req.cacheKey = "{\"machine\":{}}";
-    req.spec = json::Value::object();
-    req.spec.set("jetty_spec", 1);
-
-    const json::Value wire = shardRequestToJson(req);
-    EXPECT_EQ(dist::shardMessageType(wire), "shard_request");
-
-    dist::ShardRequest back;
-    ASSERT_EQ(dist::shardRequestFromJson(wire, back), "");
-    EXPECT_EQ(back.shardId, 7u);
-    EXPECT_EQ(back.attempt, 2u);
-    EXPECT_EQ(back.cacheKey, req.cacheKey);
-    EXPECT_EQ(back.spec.dumpCanonical(), req.spec.dumpCanonical());
-}
-
-TEST(ShardEnvelope, ResponseRoundTripsThroughRealRunResult)
-{
+    ignoreSigpipe();
     experiments::RunCache::instance().clear();
+    const api::ExperimentSpec spec = oneCellSweepSpec();
     service::ExecuteResult direct;
-    ASSERT_EQ(service::executeResolved(tinySweepSpec(), "sweep", 1, direct),
-              "");
-    ASSERT_FALSE(direct.runs.empty());
+    ASSERT_EQ(service::executeResolved(spec, "sweep", 1, direct), "");
+    ASSERT_EQ(direct.runs.size(), 1u);
 
-    dist::ShardResponse resp;
-    resp.shardId = 3;
-    resp.attempt = 1;
-    resp.ok = true;
-    resp.simulated = 1;
-    resp.diskHits = 2;
-    resp.memHits = 4;
-    resp.wallSeconds = 0.25;
-    dist::ShardCell cell;
-    cell.key = dist::cellCacheKey(direct.requests[0]);
-    cell.result = direct.runs[0];
-    resp.results.push_back(cell);
+    // The worker answers from the cache the direct run filled: the same
+    // result object, so its bytes must survive the wire exactly. (A
+    // fresh simulation would differ in the host-timed simSeconds.)
+    ThreadWorker tw;
+    startThreadWorker(tw, dist::WorkerOptions());
+    const json::Value wire = ask(tw, cellsRequest(spec));
+    stopThreadWorker(tw);
+    EXPECT_EQ(tw.loopResult, 0);
 
-    const json::Value wire = shardResponseToJson(resp);
-    EXPECT_EQ(dist::shardMessageType(wire), "shard_response");
-
-    dist::ShardResponse back;
-    ASSERT_EQ(dist::shardResponseFromJson(wire, back), "");
-    EXPECT_EQ(back.shardId, 3u);
+    dist::CellsAnswer back;
+    ASSERT_EQ(dist::cellsAnswerFromJson(wire, back), "");
     EXPECT_TRUE(back.ok);
-    EXPECT_EQ(back.diskHits, 2u);
-    EXPECT_EQ(back.memHits, 4u);
-    EXPECT_DOUBLE_EQ(back.wallSeconds, 0.25);
-    ASSERT_EQ(back.results.size(), 1u);
-    EXPECT_EQ(back.results[0].key, cell.key);
+    EXPECT_EQ(back.simulated, 0u);
+    EXPECT_EQ(back.memHits, 1u);
+    EXPECT_GT(back.sweepSeconds, 0.0);
+    ASSERT_EQ(back.cells.size(), 1u);
+    EXPECT_EQ(back.cells[0].key, service::cellCacheKey(direct.requests[0]));
     // Lossless through the wire: the round-tripped run result emits the
     // same bytes (the byte-identity contract rides on this).
-    EXPECT_EQ(experiments::runResultToJson(back.results[0].result)
+    EXPECT_EQ(experiments::runResultToJson(back.cells[0].result)
                   .dumpCanonical(),
-              experiments::runResultToJson(cell.result).dumpCanonical());
+              experiments::runResultToJson(direct.runs[0]).dumpCanonical());
     experiments::RunCache::instance().clear();
 }
 
-TEST(ShardEnvelope, VersionMismatchIsDottedPathError)
+TEST(CellsAnswer, OkFalseReadsAsTheWorkersError)
 {
-    dist::ShardResponse resp;
-    resp.ok = true;
-    json::Value wire = shardResponseToJson(resp);
-    wire.set("jetty_shard", 2);
+    dist::CellsAnswer back;
+    back.ok = true;
+    ASSERT_EQ(dist::cellsAnswerFromJson(
+                  service::makeErrorResponse("unknown app 'zz'"), back),
+              "");
+    EXPECT_FALSE(back.ok);
+    EXPECT_EQ(back.error, "unknown app 'zz'");
+}
 
-    dist::ShardResponse back;
-    const std::string err = dist::shardResponseFromJson(wire, back);
-    EXPECT_NE(err.find("shard_response.jetty_shard"), std::string::npos)
+TEST(CellsAnswer, VersionMismatchNamesBothVersions)
+{
+    json::Value wire = cellsAnswer("k", experiments::AppRunResult());
+    wire.set("jetty_response", 2);
+
+    dist::CellsAnswer back;
+    const std::string err = dist::cellsAnswerFromJson(wire, back);
+    EXPECT_NE(err.find("response.jetty_response"), std::string::npos)
         << err;
     EXPECT_NE(err.find("version 2 not supported"), std::string::npos)
         << err;
-
-    json::Value reqWire =
-        dist::shardRequestToJson(dist::ShardRequest());
-    reqWire.set("jetty_shard", 99);
-    dist::ShardRequest reqBack;
-    const std::string rerr = dist::shardRequestFromJson(reqWire, reqBack);
-    EXPECT_NE(rerr.find("shard_request.jetty_shard"), std::string::npos)
-        << rerr;
+    EXPECT_NE(err.find("this build speaks 1"), std::string::npos) << err;
 }
 
-TEST(ShardEnvelope, MalformedFieldNamesItsDottedPath)
+TEST(CellsAnswer, MalformedFieldNamesItsDottedPath)
 {
-    json::Value wire = shardResponseToJson(dist::ShardResponse());
-    wire.set("wallSeconds", "not-a-number");
-    dist::ShardResponse back;
-    const std::string err = dist::shardResponseFromJson(wire, back);
-    EXPECT_NE(err.find("shard_response.wallSeconds"), std::string::npos)
+    json::Value wire = cellsAnswer("k", experiments::AppRunResult());
+    wire.set("sweep_seconds", "not-a-number");
+    dist::CellsAnswer back;
+    std::string err = dist::cellsAnswerFromJson(wire, back);
+    EXPECT_NE(err.find("response.sweep_seconds"), std::string::npos)
         << err;
+
+    wire = cellsAnswer("k", experiments::AppRunResult());
+    json::Value cell = json::Value::object();
+    cell.set("key", 7);
+    json::Value cells = json::Value::array();
+    cells.push(std::move(cell));
+    wire.set("cells", std::move(cells));
+    err = dist::cellsAnswerFromJson(wire, back);
+    EXPECT_NE(err.find("response.cells[0].key"), std::string::npos) << err;
 }
 
 TEST(MergeTable, EmptyResponseIsLegalNoOp)
 {
     dist::MergeTable table({"k0", "k1"});
-    dist::ShardResponse empty;
-    empty.ok = true;  // no results — a resumed-elsewhere or vacuous shard
+    // No cells — a resumed-elsewhere or vacuous shard.
     std::uint64_t dups = 0;
-    EXPECT_EQ(table.apply(empty, &dups), "");
+    EXPECT_EQ(table.apply({}, &dups), "");
     EXPECT_EQ(dups, 0u);
     EXPECT_FALSE(table.complete());
     EXPECT_EQ(table.missingKeys().size(), 2u);
@@ -221,9 +271,9 @@ TEST(MergeTable, DuplicateCellIsFirstWriterWins)
 {
     dist::MergeTable table({"k0"});
     std::uint64_t dups = 0;
-    ASSERT_EQ(table.apply(fakeResponse(0, "k0", 1.0), &dups), "");
+    ASSERT_EQ(table.apply(fakeCells("k0", 1.0), &dups), "");
     // The stolen-then-completed straggler answers the same cell later.
-    ASSERT_EQ(table.apply(fakeResponse(0, "k0", 99.0), &dups), "");
+    ASSERT_EQ(table.apply(fakeCells("k0", 99.0), &dups), "");
     EXPECT_EQ(dups, 1u);
     ASSERT_TRUE(table.complete());
     const auto runs = table.takeRuns();
@@ -236,31 +286,101 @@ TEST(MergeTable, UnknownKeyIsDottedPathError)
 {
     dist::MergeTable table({"k0"});
     std::uint64_t dups = 0;
-    const std::string err =
-        table.apply(fakeResponse(0, "intruder", 1.0), &dups);
-    EXPECT_NE(err.find("shard_response.results[0].key"), std::string::npos)
-        << err;
+    const std::string err = table.apply(fakeCells("intruder", 1.0), &dups);
+    EXPECT_NE(err.find("response.cells[0].key"), std::string::npos) << err;
     EXPECT_NE(err.find("intruder"), std::string::npos) << err;
 }
 
-TEST(ShardExecution, WorkerRefusesCacheKeyDisagreement)
+TEST(WorkerLoop, AnswersBadInputOkFalseAndKeepsServing)
 {
+    ignoreSigpipe();
+    ThreadWorker tw;
+    startThreadWorker(tw, dist::WorkerOptions());
+
+    // Each failure is an ok=false answer whose error names the cause.
+    const auto expectRefused = [&tw](const std::string &line,
+                                     const std::string &cause) {
+        const json::Value answer = ask(tw, line);
+        EXPECT_FALSE(answerOk(answer));
+        const json::Value *why = answer.find("error");
+        ASSERT_TRUE(why && why->isString()) << answer.dumpCompact();
+        EXPECT_NE(why->asString().find(cause), std::string::npos)
+            << why->asString();
+    };
+    expectRefused("this is not json", "parse error");
+    expectRefused(service::makeRequest("dance").dumpCompact(),
+                  "unknown verb 'dance'");
+    api::ExperimentSpec ghost = oneCellSweepSpec();
+    ghost.apps = {"no-such-app"};
+    expectRefused(cellsRequest(ghost), "no-such-app");
+
+    // The same loop is still serving.
+    const json::Value pong = ask(tw, service::makeRequest("ping").dumpCompact());
+    EXPECT_TRUE(answerOk(pong));
+    const json::Value *p = pong.find("pong");
+    EXPECT_TRUE(p && p->isBool() && p->asBool());
+
+    // shutdown ends the loop cleanly without waiting for EOF.
+    const json::Value bye =
+        ask(tw, service::makeRequest("shutdown").dumpCompact());
+    EXPECT_TRUE(answerOk(bye));
+    tw.thread.join();
+    EXPECT_EQ(tw.loopResult, 0);
+    ::close(tw.endpoint.writeFd);
+    ::close(tw.endpoint.readFd);
+}
+
+TEST(DistCampaign, CellKeyDisagreementFailsTheCampaign)
+{
+    ignoreSigpipe();
     const api::ExperimentSpec spec = tinySweepSpec();
-    const auto filters = service::canonicalFilterNames(spec);
-    const auto requests = spec.expand();
-    ASSERT_FALSE(requests.empty());
+    experiments::RunCache::instance().clear();
+    service::ExecuteResult direct;
+    ASSERT_EQ(service::executeResolved(spec, "sweep", 1, direct), "");
+    const std::string canonical = service::cellCacheKey(direct.requests[0]);
 
-    dist::ShardRequest req;
-    req.shardId = 0;
-    req.attempt = 1;
-    req.cacheKey = "not-the-canonical-key";
-    req.spec = dist::shardSpec(spec, filters, requests[0]).toJson();
+    int req[2];
+    int resp[2];
+    ASSERT_EQ(::pipe(req), 0);
+    ASSERT_EQ(::pipe(resp), 0);
+    dist::CoordinatorConfig cfg;
+    cfg.maxRetries = 2;
+    cfg.stealAfterSeconds = 0;
+    dist::Coordinator coordinator(cfg);
+    dist::WorkerEndpoint ep;
+    ep.readFd = resp[0];
+    ep.writeFd = req[1];
+    coordinator.attachWorker(ep);
 
-    const dist::ShardResponse resp = dist::executeShard(req, 1);
-    EXPECT_FALSE(resp.ok);
-    EXPECT_NE(resp.error.find("cross-process determinism"),
-              std::string::npos)
-        << resp.error;
+    // A worker that answers its first request under a key the
+    // coordinator's expansion never produced.
+    std::thread fake([&]() {
+        service::LineReader reader(req[0]);
+        std::string line;
+        std::string err;
+        EXPECT_EQ(reader.readLine(line, &err), 1) << err;
+        EXPECT_TRUE(service::sendValue(
+            resp[1], cellsAnswer("not-the-canonical-key", direct.runs[0]),
+            &err))
+            << err;
+        // A determinism violation does not heal on retry: the next
+        // thing on this pipe is the coordinator hanging up. (Hanging up
+        // here too turns a retry into a failed campaign, not a hang.)
+        EXPECT_EQ(reader.readLine(line, &err), 0) << line;
+        ::close(req[0]);
+        ::close(resp[1]);
+    });
+
+    dist::CampaignResult result;
+    const std::string err = coordinator.run(spec, result);
+    fake.join();
+
+    EXPECT_NE(err.find("cross-process determinism"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("not-the-canonical-key"), std::string::npos) << err;
+    EXPECT_NE(err.find(canonical), std::string::npos) << err;
+    EXPECT_EQ(result.retried, 0u);
+    experiments::RunCache::instance().clear();
 }
 
 TEST(DistCampaign, ReportIsByteIdenticalAtAnyWorkerCount)
@@ -314,8 +434,8 @@ TEST(DistCampaign, MidShardWorkerDeathRetriesAndStaysByteIdentical)
     const api::ExperimentSpec spec = tinySweepSpec();
     experiments::RunCache::instance().clear();
 
-    // Worker 0 dies mid-shard on its first request: shard_started goes
-    // out, the response never comes, both pipe ends drop.
+    // Worker 0 dies mid-shard on its first request: the request is
+    // read, the answer never comes, both pipe ends drop.
     dist::WorkerOptions dying;
     dying.faultHook = [](std::uint64_t received) { return received >= 1; };
 
@@ -413,7 +533,7 @@ TEST(DistCampaign, StolenShardDuplicateIsLoggedAndDiscarded)
     ASSERT_EQ(direct.runs.size(), 4u);
     std::vector<std::string> keys;
     for (const auto &req : direct.requests)
-        keys.push_back(dist::cellCacheKey(req));
+        keys.push_back(service::cellCacheKey(req));
 
     // Three scripted fake workers on raw pipe pairs. A holds its shard
     // hostage, B answers then holds its second shard, C answers then
@@ -438,66 +558,65 @@ TEST(DistCampaign, StolenShardDuplicateIsLoggedAndDiscarded)
     }
 
     std::thread script([&]() {
-        auto readRequest = [&](int w) {
+        // The shard a request asks for: the cell its spec expands to,
+        // keyed the way a worker keys it.
+        auto readRequest = [&](int w) -> std::size_t {
             service::LineReader reader(req[w][0]);
             std::string line;
             std::string err;
             EXPECT_EQ(reader.readLine(line, &err), 1) << err;
-            dist::ShardRequest r;
-            EXPECT_EQ(dist::shardRequestFromJson(json::parse(line, &err),
-                                                 r),
-                      "");
-            return r;
+            const json::Value msg = json::parse(line, &err);
+            const json::Value *node = msg.find("spec");
+            if (!node) {
+                ADD_FAILURE() << "request carries no spec: " << line;
+                return keys.size();
+            }
+            api::ExperimentSpec cell =
+                api::ExperimentSpec::fromJson(*node, &err);
+            EXPECT_EQ(service::resolveSpec(cell, "sweep"), "");
+            std::vector<experiments::RunRequest> cells = cell.expand();
+            EXPECT_EQ(cells.size(), 1u);
+            cells[0].filterSpecs = service::canonicalFilterNames(cell);
+            return static_cast<std::size_t>(
+                std::find(keys.begin(), keys.end(),
+                          service::cellCacheKey(cells[0])) -
+                keys.begin());
         };
-        auto send = [&](int w, const json::Value &v) {
+        auto send = [&](int w, std::size_t shard) {
             std::string err;
-            EXPECT_TRUE(service::sendValue(resp[w][1], v, &err)) << err;
-        };
-        auto answer = [&](const dist::ShardRequest &r) {
-            dist::ShardResponse a;
-            a.shardId = r.shardId;
-            a.attempt = r.attempt;
-            a.ok = true;
-            a.memHits = 1;
-            dist::ShardCell cell;
-            cell.key = r.cacheKey;
-            cell.result = direct.runs[r.shardId];
-            a.results.push_back(cell);
-            return shardResponseToJson(a);
+            EXPECT_TRUE(service::sendValue(
+                resp[w][1], cellsAnswer(keys[shard], direct.runs[shard]),
+                &err))
+                << err;
         };
 
         // Dispatch order is deterministic: A<-0, B<-1, C<-2, queue=[3].
-        const dist::ShardRequest ra = readRequest(0);
-        EXPECT_EQ(ra.shardId, 0u);
-        send(0, dist::shardStartedToJson(ra.shardId, ra.attempt));
+        const std::size_t ra = readRequest(0);
+        EXPECT_EQ(ra, 0u);
 
-        const dist::ShardRequest rb = readRequest(1);
-        EXPECT_EQ(rb.shardId, 1u);
-        send(1, dist::shardStartedToJson(rb.shardId, rb.attempt));
-        send(1, answer(rb));
+        const std::size_t rb = readRequest(1);
+        EXPECT_EQ(rb, 1u);
+        send(1, rb);
 
-        const dist::ShardRequest rc = readRequest(2);
-        EXPECT_EQ(rc.shardId, 2u);
-        send(2, dist::shardStartedToJson(rc.shardId, rc.attempt));
-        send(2, answer(rc));
+        const std::size_t rc = readRequest(2);
+        EXPECT_EQ(rc, 2u);
+        send(2, rc);
 
         // B drains the queue (shard 3) and holds it.
-        const dist::ShardRequest rb2 = readRequest(1);
-        EXPECT_EQ(rb2.shardId, 3u);
-        send(1, dist::shardStartedToJson(rb2.shardId, rb2.attempt));
+        const std::size_t rb2 = readRequest(1);
+        EXPECT_EQ(rb2, 3u);
 
         // C idles with an empty queue; past stealAfterSeconds the
         // coordinator re-assigns the oldest in-flight shard — A's.
-        const dist::ShardRequest stolen = readRequest(2);
-        EXPECT_EQ(stolen.shardId, 0u);
-        EXPECT_EQ(stolen.attempt, 2u);
+        const std::size_t stolen = readRequest(2);
+        EXPECT_EQ(stolen, 0u);
 
         // Straggler A answers first (first writer), then C's stolen
         // copy (the duplicate), then B releases shard 3 so the campaign
         // can only finish after the duplicate has been consumed.
-        send(0, answer(ra));
-        send(2, answer(stolen));
-        send(1, answer(rb2));
+        send(0, ra);
+        send(2, stolen);
+        send(1, rb2);
     });
 
     dist::CampaignResult result;
@@ -510,8 +629,14 @@ TEST(DistCampaign, StolenShardDuplicateIsLoggedAndDiscarded)
 
     EXPECT_GE(result.stolen, 1u);
     EXPECT_EQ(result.duplicates, 1u);
+    bool sawSteal = false;
     bool sawDuplicate = false;
     for (const auto &ev : result.events) {
+        if (ev.type == "stolen" && ev.shardId == 0) {
+            // The steal is the shard's second assignment.
+            sawSteal = true;
+            EXPECT_EQ(ev.attempt, 2u);
+        }
         if (ev.type == "duplicate") {
             sawDuplicate = true;
             EXPECT_EQ(ev.shardId, 0u);
@@ -519,6 +644,7 @@ TEST(DistCampaign, StolenShardDuplicateIsLoggedAndDiscarded)
                       std::string::npos);
         }
     }
+    EXPECT_TRUE(sawSteal);
     EXPECT_TRUE(sawDuplicate);
     EXPECT_EQ(result.report.dump(), direct.report.dump());
     experiments::RunCache::instance().clear();

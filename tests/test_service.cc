@@ -4,7 +4,9 @@
  * (chooseKind/resolveSpec/executeResolved) and a real unix-socket
  * round trip through ExperimentServer — the served report must be
  * byte-identical to what the direct executor produces for the same
- * spec, and no malformed request may take the daemon down.
+ * spec, a served "cells" answer must match a pipe worker's byte for
+ * byte (one protocol, one request loop), and no malformed request may
+ * take the daemon down.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +15,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <fstream>
 #include <string>
 #include <thread>
 
 #include "api/experiment_spec.hh"
+#include "dist/worker.hh"
 #include "experiments/experiments.hh"
 #include "service/client.hh"
 #include "service/executor.hh"
@@ -187,6 +191,70 @@ TEST(ExperimentService, ServedReportIsByteIdenticalToDirectExecution)
                                        bye),
               "");
     serverThread.join();
+    experiments::RunCache::instance().clear();
+}
+
+TEST(ExperimentService, CellsAnswerIsByteIdenticalToAPipeWorkers)
+{
+    // Pipe peers hanging up must surface as EPIPE, not kill the binary.
+    std::signal(SIGPIPE, SIG_IGN);
+    api::ExperimentSpec spec = tinyRunSpec();
+    spec.sweepBuses = {1};  // a one-cell sweep
+    json::Value request = service::makeRequest("cells");
+    request.set("spec", spec.toJson());
+
+    // Served over the socket...
+    experiments::RunCache::instance().clear();
+    const std::string socket =
+        ::testing::TempDir() + "jetty_test_cells.sock";
+    service::ServerConfig cfg;
+    cfg.socketPath = socket;
+    service::ExperimentServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    std::thread serverThread([&server]() { server.run(); });
+    json::Value served;
+    ASSERT_EQ(service::requestResponse(socket, request, served), "");
+    json::Value bye;
+    ASSERT_EQ(service::requestResponse(
+                  socket, service::makeRequest("shutdown"), bye),
+              "");
+    serverThread.join();
+
+    // ...and answered by a worker loop on a pipe pair sharing the same
+    // RunCache (a fresh simulation would differ in the host-timed
+    // simSeconds, which only the cache makes reproducible).
+    int req[2];
+    int resp[2];
+    ASSERT_EQ(::pipe(req), 0);
+    ASSERT_EQ(::pipe(resp), 0);
+    int loopResult = -1;
+    std::thread worker([&]() {
+        loopResult = dist::runWorkerLoop(req[0], resp[1],
+                                         dist::WorkerOptions());
+    });
+    std::string err;
+    ASSERT_TRUE(service::sendValue(req[1], request, &err)) << err;
+    service::LineReader reader(resp[0]);
+    std::string line;
+    ASSERT_EQ(reader.readLine(line, &err), 1) << err;
+    ::close(req[1]);
+    worker.join();
+    EXPECT_EQ(loopResult, 0);
+    for (const int fd : {req[0], resp[0], resp[1]})
+        ::close(fd);
+    const json::Value piped = json::parse(line, &err);
+    ASSERT_EQ(err, "");
+
+    for (const json::Value &answer : {served, piped}) {
+        const json::Value *ok = answer.find("ok");
+        ASSERT_TRUE(ok && ok->isBool() && ok->asBool())
+            << answer.dumpCompact();
+        const json::Value *cells = answer.find("cells");
+        ASSERT_TRUE(cells && cells->isArray());
+        ASSERT_EQ(cells->items().size(), 1u);
+    }
+    EXPECT_EQ(served.find("cells")->items()[0].dumpCompact(),
+              piped.find("cells")->items()[0].dumpCompact());
     experiments::RunCache::instance().clear();
 }
 

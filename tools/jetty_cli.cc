@@ -66,9 +66,9 @@
  *                     would have written. --timeout/--retries bound the
  *                     connect backoff and the response wait)
  *   jetty_cli worker  [--jobs N] [--cache-dir DIR]
- *                     (distributed-sweep worker loop: serves shard
- *                     requests on stdin, answers on stdout; spawned by
- *                     `sweep --workers N`, or attach one over any
+ *                     (distributed-sweep worker: the serve request
+ *                     loop on stdin/stdout instead of a socket; spawned
+ *                     by `sweep --workers N`, or attach one over any
  *                     stream transport — ssh included)
  *   jetty_cli bench   [--spec FILE] [--app NAME | --in FILE[,FILE...]]
  *                     [--procs N] [--buses N] [--scale F]
@@ -503,7 +503,7 @@ printSweepTable(const std::vector<std::string> &specs,
 
 /** One human-readable progress line per ShardEvent, flushed eagerly so
  *  a scripted caller tailing the coordinator sees shard lifecycle
- *  transitions (assigned/started/completed/stolen/retried/duplicate/
+ *  transitions (assigned/completed/stolen/retried/duplicate/
  *  worker_died) as they happen. */
 void
 printShardEvent(const dist::ShardEvent &ev)
@@ -637,7 +637,7 @@ runDistributedSweep(const api::ExperimentSpec &spec,
             return false;
         }
         if (pid == 0) {
-            // Child: shard requests on stdin, responses on stdout,
+            // Child: requests on stdin, answers on stdout,
             // stderr inherited so worker diagnostics stay visible.
             ::dup2(req[0], 0);
             ::dup2(resp[1], 1);
@@ -1471,12 +1471,13 @@ cmdServe(const std::map<std::string, std::string> &opts)
     return 0;
 }
 
-/** The distributed-sweep worker loop over stdin/stdout. Spawned by
- *  `sweep --workers N` (pipes dup2'd onto fds 0/1), but any stream a
- *  caller can land on those fds works — the envelope is
- *  transport-agnostic. JETTY_WORKER_DIE_AFTER=K (fault injection for
- *  the kill tests and the CI smoke) makes the process die mid-shard —
- *  after shard_started, before the response — on the Kth request. */
+/** The distributed-sweep worker: the serve request loop over
+ *  stdin/stdout. Spawned by `sweep --workers N` (pipes dup2'd onto fds
+ *  0/1), but any stream a caller can land on those fds works — the
+ *  protocol is transport-agnostic. JETTY_WORKER_DIE_AFTER=K (fault
+ *  injection for the kill tests and the CI smoke) makes the process die
+ *  mid-shard — after reading its Kth request line, before answering
+ *  it. */
 int
 cmdWorker(const std::map<std::string, std::string> &opts)
 {
@@ -1504,8 +1505,8 @@ cmdWorker(const std::map<std::string, std::string> &opts)
         wopts.faultHook = [after](std::uint64_t received) -> bool {
             if (received >= after) {
                 // A hard mid-shard crash as the coordinator sees one:
-                // shard_started is on the wire, the response never
-                // comes, both pipe ends drop.
+                // the request was taken, the answer never comes, both
+                // pipe ends drop.
                 _exit(17);
             }
             return false;

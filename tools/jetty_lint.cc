@@ -31,19 +31,16 @@
  *                   wrappers). The service executor's contract is that
  *                   failures come back as strings, never as a dead
  *                   process.
- *   serialization   The X-macro field lists in run_result_json.cc and
- *                   the shard envelope lists in dist/shard.cc must
+ *   serialization   The X-macro field lists in run_result_json.cc must
  *                   losslessly cover every scalar member of the structs
  *                   they serialize (ProcStats, L2Traffic, FilterStats,
- *                   FilterEnergyCosts, BusStats, ShardRequest,
- *                   ShardResponse), and every member of the
- *                   hand-serialized structs (SimStats, AppRunResult,
- *                   plus the shard envelopes) must be referenced by its
- *                   serializer TU. A new counter that skips the list
- *                   silently corrupts the disk cache's bit-identity
- *                   guarantee — and a shard field that skips its list
- *                   silently diverges coordinator and worker; this rule
- *                   turns both into a build break naming the field.
+ *                   FilterEnergyCosts, BusStats), and every member of
+ *                   the hand-serialized structs (SimStats,
+ *                   AppRunResult) must be referenced by its serializer
+ *                   TU. A new counter that skips the list silently
+ *                   corrupts the disk cache's bit-identity guarantee;
+ *                   this rule turns that into a build break naming the
+ *                   field.
  *   escape          Meta-rule: malformed or stale escape comments.
  *
  * Escape hatch: a finding is suppressed by
@@ -774,11 +771,8 @@ parseStruct(const std::vector<Token> &t, const std::string &name,
     return false;
 }
 
-/** Extract `X(field)` / `X(field, kind)` entries from
- *  `#define <macro>(X)` continuation blocks in raw text (the X-macro
- *  field lists of run_result_json.cc and dist/shard.cc — the shard
- *  envelope lists carry a second reader-kind argument; only the field
- *  name participates in the completeness contract). */
+/** Extract `X(field)` entries from `#define <macro>(X)` continuation
+ *  blocks in raw text (the X-macro field lists of run_result_json.cc). */
 bool
 parseMacroList(const std::string &src, const std::string &macro,
                MacroList &out)
@@ -828,8 +822,7 @@ parseMacroList(const std::string &src, const std::string &macro,
                     std::string ident;
                     while (j < body.size() && isIdentChar(body[j]))
                         ident += body[j++];
-                    if (j < body.size() &&
-                        (body[j] == ')' || body[j] == ',') &&
+                    if (j < body.size() && body[j] == ')' &&
                         !ident.empty())
                         out.entries.push_back({ident, bl, true});
                     i = j;
@@ -911,8 +904,7 @@ struct SerializationPair
 
 /** The lossless-serialization contract: each X-macro list covers every
  *  scalar member of its struct. The disk-cache lists live in
- *  run_result_json.cc; the distributed shard envelope lists live in
- *  dist/shard.cc (two-arg entries — name plus reader kind). */
+ *  run_result_json.cc. */
 constexpr SerializationPair kPairs[] = {
     {"JETTY_PROC_STAT_FIELDS", "ProcStats", "run_result_json.cc"},
     {"JETTY_L2_TRAFFIC_FIELDS", "L2Traffic", "run_result_json.cc"},
@@ -920,8 +912,6 @@ constexpr SerializationPair kPairs[] = {
     {"JETTY_FILTER_COST_FIELDS", "FilterEnergyCosts",
      "run_result_json.cc"},
     {"JETTY_BUS_STAT_FIELDS", "BusStats", "run_result_json.cc"},
-    {"JETTY_SHARD_REQUEST_FIELDS", "ShardRequest", "shard.cc"},
-    {"JETTY_SHARD_RESPONSE_FIELDS", "ShardResponse", "shard.cc"},
 };
 
 struct ReferencedStruct
@@ -938,8 +928,6 @@ struct ReferencedStruct
 constexpr ReferencedStruct kReferencedStructs[] = {
     {"SimStats", "run_result_json.cc"},
     {"AppRunResult", "run_result_json.cc"},
-    {"ShardRequest", "shard.cc"},
-    {"ShardResponse", "shard.cc"},
 };
 
 struct ScannedFile
