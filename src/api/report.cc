@@ -57,6 +57,12 @@ Report::archNode(const sim::SimStats &stats)
     arch.set("snoop_misses", agg.snoopMisses);
     arch.set("wb_insertions", agg.wbInsertions);
     arch.set("wb_reclaims", agg.wbReclaims);
+    // Snoop transactions by the number of remote caches holding a copy
+    // (bucket i = i copies, the last bucket saturating): Table 3.
+    json::Value remote = json::Value::array();
+    for (std::size_t i = 0; i < stats.remoteHits.buckets(); ++i)
+        remote.push(stats.remoteHits.count(i));
+    arch.set("remote_hits", std::move(remote));
     return arch;
 }
 
@@ -107,6 +113,7 @@ Report::runNode(const experiments::AppRunResult &run,
     json::Value node = json::Value::object();
     node.set("app", run.appName);
     node.set("abbrev", run.abbrev);
+    node.set("memory_allocated", run.memoryAllocated);
 
     json::Value m = json::Value::object();
     m.set("procs", variant.nprocs);

@@ -62,7 +62,8 @@ class Report
 
     // ---- shared sub-tree builders ----
 
-    /** Aggregate architectural counters of @p stats. */
+    /** Aggregate architectural counters of @p stats, plus the
+     *  remote-copy histogram of snoop transactions ("remote_hits"). */
     static json::Value archNode(const sim::SimStats &stats);
 
     /** Per-bus occupancy rows of the split interconnect. */
@@ -78,7 +79,8 @@ class Report
      *  must become null, not an infinity the emitter refuses. */
     static json::Value ratio(double num, double denom);
 
-    /** One full run: app identity + machine + timing + arch + per-bus +
+    /** One full run: app identity + the workload's allocated bytes
+     *  ("memory_allocated") + machine + timing + arch + per-bus +
      *  per-filter coverage/energy/latency rows for @p specs. */
     static json::Value runNode(const experiments::AppRunResult &run,
                                const experiments::SystemVariant &variant,

@@ -1,12 +1,13 @@
 /**
  * @file
- * Shared experiment kit for the bench harness: canonical paper
- * configurations, declarative application runs, per-app result bundles,
- * and energy evaluation helpers. Every bench binary (one per paper table
- * and figure) builds on these.
+ * Shared experiment kit: canonical paper configurations, declarative
+ * application runs, per-app result bundles, and energy evaluation
+ * helpers. The service executor (jetty_cli run/sweep/replay/serve and
+ * the paper scorecard), the ablation benches and the examples build on
+ * these.
  *
  * Runs are served through a process-wide keyed cache (RunCache) backed by
- * the parallel SweepRunner engine: benches *request* runs declaratively —
+ * the parallel SweepRunner engine: callers *request* runs declaratively —
  * runApp()/runMany()/runAllApps() — and identical (app, variant, scale)
  * pairs simulate exactly once per process, whatever order the tables and
  * panels pull them in. Because the filter bank is a passive observer, a

@@ -31,28 +31,6 @@ checkTraceFilesReadable(const std::vector<std::string> &files)
     return "";
 }
 
-std::string
-rejectSweepAxes(const api::ExperimentSpec &spec, const char *kind)
-{
-    if (!spec.sweepProcs.empty() || !spec.sweepBuses.empty())
-        return std::string(kind) +
-               ": the spec has a sweep section — use sweep";
-    return "";
-}
-
-std::string
-rejectForeignSections(const api::ExperimentSpec &spec, const char *kind,
-                      bool allowBench)
-{
-    if (spec.hasFuzz)
-        return std::string(kind) +
-               ": the spec has a fuzz section — use fuzz";
-    if (!allowBench && spec.benchRepeat > 0)
-        return std::string(kind) +
-               ": the spec has a bench section — use bench";
-    return "";
-}
-
 /** Round-trip the fully resolved spec through its own schema, replacing
  *  it with the normalized parse — the --dump-spec/--spec contract, and
  *  where an unknown app or out-of-range field gets the schema's
@@ -79,6 +57,20 @@ requireVariantMachine(const api::ExperimentSpec &spec)
 }
 
 } // namespace
+
+std::string
+rejectForeignSections(const api::ExperimentSpec &spec,
+                      const std::string &kind)
+{
+    if (kind != "sweep" &&
+        (!spec.sweepProcs.empty() || !spec.sweepBuses.empty()))
+        return kind + ": the spec has a sweep section — use sweep";
+    if (kind != "fuzz" && spec.hasFuzz)
+        return kind + ": the spec has a fuzz section — use fuzz";
+    if (kind != "bench" && spec.benchRepeat > 0)
+        return kind + ": the spec has a bench section — use bench";
+    return "";
+}
 
 const std::vector<std::string> &
 defaultFilterSpecs()
@@ -122,14 +114,8 @@ resolveSpec(api::ExperimentSpec &spec, const std::string &kind)
         if (!spec.traceFiles.empty())
             return "run synthesizes from an application profile; use "
                    "replay or bench for trace_files specs";
-        if (!(err = rejectSweepAxes(spec, "run")).empty())
+        if (!(err = rejectForeignSections(spec, kind)).empty())
             return err;
-        if (!(err = rejectForeignSections(spec, "run", false)).empty())
-            return err;
-        if (spec.filters.empty())
-            spec.filters = defaultFilterSpecs();
-        if (spec.scale <= 0)
-            spec.scale = 0.25;
     } else if (kind == "sweep") {
         if (spec.apps.empty() && spec.traceFiles.empty()) {
             for (const auto &app : trace::paperApps())
@@ -149,32 +135,44 @@ resolveSpec(api::ExperimentSpec &spec, const std::string &kind)
         }
         if (spec.sweepBuses.empty())
             spec.sweepBuses = {spec.machine.buses};
-        if (!(err = rejectForeignSections(spec, "sweep", false)).empty())
+        if (!(err = rejectForeignSections(spec, kind)).empty())
             return err;
-        if (spec.filters.empty())
-            spec.filters = defaultFilterSpecs();
-        if (spec.scale <= 0)
-            spec.scale = 0.25;
     } else if (kind == "replay") {
         if (spec.traceFiles.empty())
             return "replay needs --in FILE[,FILE...] (or a spec with "
                    "workload.trace_files)";
-        if (spec.filters.empty())
-            spec.filters = defaultFilterSpecs();
-        if (!(err = rejectSweepAxes(spec, "replay")).empty())
-            return err;
-        if (!(err = rejectForeignSections(spec, "replay", false)).empty())
+        if (!(err = rejectForeignSections(spec, kind)).empty())
             return err;
         if (!(err = checkTraceFilesReadable(spec.traceFiles)).empty())
             return err;
         spec.machine.procs =
             trace::inferReplayProcs(spec.traceFiles, spec.machine.procs);
+    } else if (kind == "bench") {
+        if (spec.apps.empty() && spec.traceFiles.empty())
+            spec.apps = {"lu"};
+        if (spec.apps.size() > 1)
+            return "bench drives one workload (the spec names " +
+                   std::to_string(spec.apps.size()) + " apps)";
+        if (spec.benchRepeat == 0)
+            spec.benchRepeat = 3;
+        if (!(err = rejectForeignSections(spec, kind)).empty())
+            return err;
+        if (!spec.traceFiles.empty()) {
+            spec.machine.procs = trace::inferReplayProcs(
+                spec.traceFiles, spec.machine.procs);
+        }
     } else {
         return "unknown execution kind '" + kind + "'";
     }
+    if (spec.filters.empty())
+        spec.filters = defaultFilterSpecs();
+    if (spec.scale <= 0 && kind != "replay")  // a replay runs the whole capture
+        spec.scale = kind == "bench" ? 1.0 : 0.25;
     if (!(err = validateResolved(spec)).empty())
         return err;
-    return requireVariantMachine(spec);
+    // Bench drives SmpSystem directly, so it honours explicit geometry
+    // that the variant-only experiment layer would have to refuse.
+    return kind == "bench" ? "" : requireVariantMachine(spec);
 }
 
 std::string

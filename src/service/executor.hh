@@ -47,16 +47,28 @@ const std::vector<std::string> &defaultFilterSpecs();
 std::string chooseKind(const api::ExperimentSpec &spec, std::string *err);
 
 /**
- * Resolve @p spec in place for @p kind ("run" / "sweep" / "replay"):
- * fill the kind's defaults (workload, filters, scale, sweep axes,
- * replay processor inference), reject sections the kind cannot honour,
- * round-trip through the spec schema, and require a variant-compatible
- * machine. Idempotent: resolving an already-resolved spec is a no-op,
- * so a spec resolved by the CLI and re-resolved by the server stays
- * byte-identical.
+ * Resolve @p spec in place for @p kind ("run" / "sweep" / "replay" /
+ * "bench"): fill the kind's defaults (workload, filters, scale, sweep
+ * axes, bench repeats, replay processor inference), reject sections the
+ * kind cannot honour, round-trip through the spec schema, and — except
+ * for bench, which drives SmpSystem directly and honours explicit
+ * geometry — require a variant-compatible machine. Idempotent:
+ * resolving an already-resolved spec is a no-op, so a spec resolved by
+ * the CLI and re-resolved by the server stays byte-identical.
  * @return "" on success, else the diagnostic.
  */
 std::string resolveSpec(api::ExperimentSpec &spec, const std::string &kind);
+
+/**
+ * The sections @p kind cannot honour must fail loudly, not be silently
+ * dropped and then echoed back as if they had been part of the run:
+ * sweep axes outside "sweep", a fuzz section outside "fuzz", a bench
+ * section outside "bench".
+ * @return "" when @p spec has none, else "<kind>: the spec has a …
+ *         section — use …".
+ */
+std::string rejectForeignSections(const api::ExperimentSpec &spec,
+                                  const std::string &kind);
 
 /** Everything one executed spec produced. */
 struct ExecuteResult

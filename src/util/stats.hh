@@ -113,12 +113,6 @@ class Histogram
     /** Raw count in bucket @p i. */
     std::uint64_t count(std::size_t i) const { return counts_.at(i); }
 
-    /** Fraction of all samples falling in bucket @p i. */
-    double fraction(std::size_t i) const
-    {
-        return ratio(counts_.at(i), total_);
-    }
-
     /** Total number of samples recorded. */
     std::uint64_t total() const { return total_; }
 

@@ -67,7 +67,11 @@ endif()
 
 # The committed example specs resolve through their natural subcommand.
 run_cli(q run --spec ${EXAMPLES}/quickstart.spec.json --dump-spec)
-run_cli(p sweep --spec ${EXAMPLES}/paper_figure4.spec.json --dump-spec)
+# The paper specs the scorecard runs are sweep fixed points too.
+foreach(paper figure4 figure5 8way nosubblock)
+  check_dump_roundtrip(paper_${paper} sweep
+                       --spec ${EXAMPLES}/paper_${paper}.spec.json)
+endforeach()
 run_cli(z fuzz --spec ${EXAMPLES}/fuzz_smoke.spec.json --dump-spec)
 
 # ... and the quickstart spec actually runs (scaled down for CI).

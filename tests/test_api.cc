@@ -520,6 +520,8 @@ TEST(Report, GoldenFixturePinsTheSchema)
     stats.procs[1].snoopTagProbes = 7;
     stats.procs[1].snoopMisses = 5;
     stats.snoopTransactions = 7;
+    for (unsigned i = 0; i < 7; ++i)
+        stats.remoteHits.sample(i < 5 ? 0 : 1);  // 5 found no copy, 2 one
     stats.perBus[0].transactions = 4;
     stats.perBus[0].reads = 4;
     stats.perBus[1].transactions = 3;

@@ -665,41 +665,6 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
     std::remove((path + ".json").c_str());
 }
 
-TEST(Differential, LegacyTxtSidecarStillRestoresTheMachine)
-{
-    // Pre-spec builds wrote "<path>.txt" key=value sidecars; those
-    // repros must keep replaying on their recorded machine. Fabricate
-    // one in the old format (no .json alongside) and restore it.
-    const std::string path = ::testing::TempDir() + "jetty_legacy_repro";
-    std::FILE *f = std::fopen((path + ".txt").c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fprintf(f,
-                 "# jetty fuzz repro (traces in %s)\n"
-                 "seed=7\n"
-                 "invariant=no-false-negative\n"
-                 "nprocs=8\n"
-                 "snoop_buses=2\n"
-                 "l1=2048/1/32\n"
-                 "l2=16384/1/64/2\n"
-                 "wb_entries=4\n"
-                 "filters=NULL;EJ-16x2\n"
-                 "records=12\n",
-                 path.c_str());
-    std::fclose(f);
-
-    sim::SmpConfig restored;
-    ASSERT_TRUE(readReproConfig(path, restored));
-    EXPECT_EQ(restored.nprocs, 8u);
-    EXPECT_EQ(restored.snoopBuses, 2u);
-    EXPECT_EQ(restored.l1.sizeBytes, 2048u);
-    EXPECT_EQ(restored.l2.sizeBytes, 16384u);
-    EXPECT_EQ(restored.l2.subblocks, 2u);
-    EXPECT_EQ(restored.wbEntries, 4u);
-    EXPECT_EQ(restored.filterSpecs,
-              (std::vector<std::string>{"NULL", "EJ-16x2"}));
-    std::remove((path + ".txt").c_str());
-}
-
 TEST(Differential, CorrectFiltersSurviveTheFaultyCampaignConfig)
 {
     // Identical campaign but with honest filters: must be clean, which

@@ -2,7 +2,7 @@
  * @file
  * Tests for the workload substrate: determinism, layout, page
  * scrambling, the application registry, stream behaviours, the trace
- * file formats (JTTRACE1/JTTRACE2), the nextBatch delivery contract,
+ * file format (JTTRACE2), the nextBatch delivery contract,
  * and the chunked FileStreamSource.
  */
 
@@ -309,25 +309,20 @@ TEST(TraceFile, RejectsMissingFile)
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 
-TEST(TraceFile, LegacyV1ReadsTransparently)
+TEST(TraceFile, RetiredV1MagicRejected)
 {
-    std::vector<TraceRecord> recs;
-    recs.push_back({AccessType::Read, 0xdeadbeefull});
-    recs.push_back({AccessType::Write, 0x20});
-
+    // JTTRACE1 (one section, u32 record count) is no longer read: a file
+    // carrying its magic fails like any other unknown format.
     const std::string path = "/tmp/jetty_test_trace_v1.bin";
-    writeTraceFileV1(path, recs);
-    const auto info = readTraceFileInfo(path);
-    EXPECT_EQ(info.version, 1u);
-    ASSERT_EQ(info.streams(), 1u);
-    EXPECT_EQ(info.counts[0], recs.size());
-
-    const auto back = readTraceFile(path);
-    ASSERT_EQ(back.size(), recs.size());
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(back[i].addr, recs[i].addr);
-        EXPECT_EQ(back[i].type, recs[i].type);
+    writeTraceFile(path, {{AccessType::Read, 0x40}});
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite("JTTRACE1", 1, 8, f), 8u);
+        std::fclose(f);
     }
+    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
+                "unknown magic");
     std::remove(path.c_str());
 }
 
@@ -403,17 +398,18 @@ TEST(TraceFile, MultiStreamSectionsRoundTrip)
 
 TEST(TraceFile, CorruptHeaderCountRejectedBeforeAllocation)
 {
-    // A v1 header claiming ~4 G records over an 8-record body used to
-    // drive a multi-gigabyte reserve(); it must now fail the size check.
+    // A section record count claiming ~4 G records over an 8-record
+    // body used to drive a multi-gigabyte reserve(); it must fail the
+    // size check before any allocation.
     const std::string path = "/tmp/jetty_test_trace_corrupt.bin";
     std::vector<TraceRecord> recs(8, {AccessType::Read, 0x100});
-    writeTraceFileV1(path, recs);
+    writeTraceFile(path, recs);
     {
         std::FILE *f = std::fopen(path.c_str(), "r+b");
         ASSERT_NE(f, nullptr);
-        const std::uint32_t bogus = 0xffffffffu;
-        ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);  // v1 count field
-        ASSERT_EQ(std::fwrite(&bogus, 4, 1, f), 1u);
+        const std::uint64_t bogus = 0xffffffffull;
+        ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);  // section 0's count
+        ASSERT_EQ(std::fwrite(&bogus, 8, 1, f), 1u);
         std::fclose(f);
     }
     EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),

@@ -188,7 +188,6 @@ TEST(Stats, HistogramBasics)
     EXPECT_EQ(h.count(0), 1u);
     EXPECT_EQ(h.count(1), 2u);
     EXPECT_EQ(h.count(3), 1u);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
 }
 
 TEST(Stats, HistogramMerge)

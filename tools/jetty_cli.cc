@@ -35,6 +35,13 @@
  *                     an interrupted campaign from the disk tier.
  *                     --kill-worker-after K is fault injection: the
  *                     first worker dies mid-shard after K requests)
+ *   jetty_cli scorecard FILE [--scale F] [--jobs N] [--cache-dir DIR]
+ *                     [--json FILE]
+ *                     (the paper's figures and tables as committed
+ *                     specs, scored against the paper: panels, a
+ *                     paper | simulated | delta table, and claims;
+ *                     flags as on sweep. Exit 2 when a gated claim
+ *                     fails)
  *   jetty_cli apps
  *   jetty_cli filters
  *   jetty_cli capture --app NAME --out FILE [--procs N] [--scale F]
@@ -89,8 +96,7 @@
  *                     state equivalence; failures are shrunk and
  *                     written as a JTTRACE2 repro + .json sidecar whose
  *                     embedded ExperimentSpec pins the machine.
- *                     --repro replays a previously written repro
- *                     (legacy .txt sidecars still read).
+ *                     --repro replays a previously written repro.
  *                     Exit 0 clean, 2 on a caught violation)
  */
 
@@ -115,6 +121,7 @@
 
 #include "api/experiment_spec.hh"
 #include "api/report.hh"
+#include "api/scorecard.hh"
 #include "core/filter_registry.hh"
 #include "core/filter_spec.hh"
 #include "dist/coordinator.hh"
@@ -139,11 +146,6 @@ using namespace jetty;
 
 namespace
 {
-
-/** The paper's standard filter trio (run/replay/bench default) — owned
- *  by the service layer so the CLI and the serve daemon cannot drift. */
-const std::vector<std::string> &kDefaultFilters =
-    service::defaultFilterSpecs();
 
 /** Parse "--key value" style options into a map. */
 std::map<std::string, std::string>
@@ -260,59 +262,6 @@ overlayCommonFlags(const std::map<std::string, std::string> &opts,
     overlayFilterFlag(opts, spec.filters);
 }
 
-/** @p cmd simulates exactly one machine; a spec carrying sweep axes
- *  would be silently narrowed, so reject it the way multi-app and
- *  trace-file mismatches are rejected. */
-void
-rejectSweepAxes(const api::ExperimentSpec &spec, const char *cmd)
-{
-    if (!spec.sweepProcs.empty() || !spec.sweepBuses.empty())
-        fatal(std::string(cmd) +
-              ": the spec has a sweep section — use sweep");
-}
-
-/** Sections @p cmd cannot honour must fail loudly, not be silently
- *  dropped and then echoed back as if they had been part of the run. */
-void
-rejectForeignSections(const api::ExperimentSpec &spec, const char *cmd,
-                      bool allowBench)
-{
-    if (spec.hasFuzz)
-        fatal(std::string(cmd) +
-              ": the spec has a fuzz section — use fuzz");
-    if (!allowBench && spec.benchRepeat > 0)
-        fatal(std::string(cmd) +
-              ": the spec has a bench section — use bench");
-}
-
-/**
- * Round-trip the fully resolved spec through its own schema, replacing
- * it with the normalized parse. Flags overlay the spec *before* this
- * runs, so a flag value the schema would reject (an unknown app, an
- * out-of-range processor count) fails here with the schema's
- * diagnostic — --dump-spec can never emit a spec that --spec refuses.
- */
-void
-validateResolved(api::ExperimentSpec &spec)
-{
-    std::string err;
-    api::ExperimentSpec parsed = api::ExperimentSpec::parse(spec.emit(),
-                                                            &err);
-    if (!err.empty())
-        fatal(err);
-    spec = std::move(parsed);
-}
-
-/** Shared resolution tail: default filters and scale. */
-void
-resolveCommonDefaults(api::ExperimentSpec &spec, double defaultScale)
-{
-    if (spec.filters.empty())
-        spec.filters = kDefaultFilters;
-    if (spec.scale <= 0)
-        spec.scale = defaultScale;
-}
-
 /** Print the fully resolved spec and report whether the command should
  *  exit (--dump-spec runs nothing). */
 bool
@@ -323,6 +272,17 @@ dumpSpecRequested(const std::map<std::string, std::string> &opts,
         return false;
     std::fputs(spec.emit().c_str(), stdout);
     return true;
+}
+
+/** Write @p doc to the file option @p key names, if given. */
+void
+writeJsonOpt(const std::map<std::string, std::string> &opts,
+             const json::Value &doc, const char *key = "json")
+{
+    if (!opts.count(key))
+        return;
+    json::writeFile(opts.at(key), doc);
+    std::printf("wrote %s\n", opts.at(key).c_str());
 }
 
 /**
@@ -460,10 +420,7 @@ cmdRun(const std::map<std::string, std::string> &opts)
         }
     }
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJsonOpt(opts, result.report);
     return 0;
 }
 
@@ -701,14 +658,23 @@ runDistributedSweep(const api::ExperimentSpec &spec,
         for (const auto &ev : result.events)
             arr.push(ev.toJson());
         doc.set("events", std::move(arr));
-        json::writeFile(opts.at("events"), doc);
-        std::printf("wrote %s\n", opts.at("events").c_str());
+        writeJsonOpt(opts, doc, "events");
     }
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJsonOpt(opts, result.report);
     return 0;
+}
+
+/** --jobs N: SweepRunner workers, 0 = the default. A worker knob, not
+ *  experiment identity — deliberately not in the spec: results are
+ *  jobs-independent. */
+unsigned
+jobsFlag(const std::map<std::string, std::string> &opts)
+{
+    unsigned v = 0;
+    if (opts.count("jobs") && !parseUnsigned(opts.at("jobs"), v))
+        fatal("--jobs needs a non-negative count, got '" + opts.at("jobs") +
+              "'");
+    return v;
 }
 
 /**
@@ -768,16 +734,7 @@ cmdSweep(const std::map<std::string, std::string> &opts)
     if (dumpSpecRequested(opts, spec))
         return 0;
 
-    unsigned jobs = 0;  // 0 = SweepRunner default (worker knob, not
-                        // experiment identity — deliberately not in the
-                        // spec: results are jobs-independent)
-    if (opts.count("jobs")) {
-        const int v = std::atoi(opts.at("jobs").c_str());
-        if (v < 0)
-            fatal("--jobs must be >= 0 (0 = auto)");
-        jobs = static_cast<unsigned>(v);
-    }
-
+    const unsigned jobs = jobsFlag(opts);
     enableDiskCache(opts);
 
     // The distributed fabric: shard the campaign across local worker
@@ -816,11 +773,68 @@ cmdSweep(const std::map<std::string, std::string> &opts)
                 static_cast<unsigned long long>(std::min(want, simulated)),
                 sweep_seconds > 0 ? sim_refs / 1e6 / sweep_seconds : 0.0);
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJsonOpt(opts, result.report);
     return 0;
+}
+
+/**
+ * Score the paper's figures and tables (api/scorecard.hh). Every spec
+ * the scorecard names resolves as a sweep (--scale overrides each
+ * spec's scale, as on sweep); one runMany over the union of their cells
+ * simulates each distinct cell once with the union of its filters;
+ * each spec's Report is then built through the service executor from
+ * memory hits. Exit 2 when a gated claim fails.
+ */
+int
+cmdScorecard(const std::string &path,
+             const std::map<std::string, std::string> &opts)
+{
+    if (path.empty())
+        fatal("scorecard needs a scorecard file: jetty_cli scorecard FILE "
+              "[--scale F] [--jobs N] [--cache-dir DIR] [--json FILE]");
+    std::string err;
+    const api::Scorecard card = api::Scorecard::load(path, &err);
+    if (!err.empty())
+        fatal(err);
+
+    std::vector<std::pair<std::string, api::ExperimentSpec>> specs;
+    double scale = -1.0;
+    overlayScaleFlag(opts, scale);
+    for (const auto &[id, file] : card.specs()) {
+        api::ExperimentSpec spec = api::ExperimentSpec::load(file);
+        overlayScaleFlag(opts, spec.scale);
+        if (!(err = service::resolveSpec(spec, "sweep")).empty())
+            fatal(id + ": " + err);
+        specs.emplace_back(id, std::move(spec));
+    }
+    const unsigned jobs = jobsFlag(opts);
+    enableDiskCache(opts);
+
+    // Declare every cell up front: one concurrent sweep fills the run
+    // cache, and the per-spec Reports below are pure cache hits.
+    std::vector<experiments::RunRequest> cells;
+    for (const auto &entry : specs) {
+        const auto names = service::canonicalFilterNames(entry.second);
+        for (auto &req : entry.second.expand()) {
+            req.filterSpecs = names;
+            cells.push_back(std::move(req));
+        }
+    }
+    experiments::runMany(cells, jobs);
+
+    std::map<std::string, json::Value> reports;
+    for (const auto &[id, spec] : specs) {
+        service::ExecuteResult result;
+        if (!(err = service::executeSpec(spec, jobs, result)).empty())
+            fatal(id + ": " + err);
+        reports[id] = std::move(result.report);
+    }
+    const json::Value scored = card.evaluate(reports, scale, &err);
+    if (!err.empty())
+        fatal(err);
+    api::Scorecard::print(scored);
+    writeJsonOpt(opts, scored);
+    return api::Scorecard::failedGates(scored) ? 2 : 0;
 }
 
 /** Enumerate the registered filter families and the paper's specs. */
@@ -940,22 +954,6 @@ cmdCapture(const std::map<std::string, std::string> &opts)
     return 0;
 }
 
-/** Processor count a replay file list drives; the fallback — the
- *  spec's machine.procs, overridden by --procs — only matters for one
- *  single-section file (trace::inferReplayProcs rules), so a dumped
- *  spec re-runs on the machine it recorded. */
-unsigned
-replayProcs(const std::vector<std::string> &files,
-            const std::map<std::string, std::string> &opts,
-            unsigned fallback)
-{
-    if (opts.count("procs")) {
-        if (!parseUnsigned(opts.at("procs"), fallback) || fallback < 2)
-            fatal("replay --procs needs a count >= 2");
-    }
-    return trace::inferReplayProcs(files, fallback);
-}
-
 int
 cmdReplay(const std::map<std::string, std::string> &opts)
 {
@@ -1008,10 +1006,7 @@ cmdReplay(const std::map<std::string, std::string> &opts)
     }
     table.print();
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJsonOpt(opts, result.report);
     return 0;
 }
 
@@ -1049,26 +1044,16 @@ cmdBench(const std::map<std::string, std::string> &opts)
             fatal("bench --repeat needs a count >= 1");
         spec.benchRepeat = repeat;
     }
-    if (spec.apps.empty() && spec.traceFiles.empty())
-        spec.apps = {"lu"};
-    if (spec.apps.size() > 1)
-        fatal("bench drives one workload (the spec names " +
-              std::to_string(spec.apps.size()) + " apps)");
-    if (spec.benchRepeat == 0)
-        spec.benchRepeat = 3;
-    rejectSweepAxes(spec, "bench");
-    rejectForeignSections(spec, "bench", /*allowBench=*/true);
-    resolveCommonDefaults(spec, 1.0);
-    if (!spec.traceFiles.empty()) {
-        spec.machine.procs =
-            replayProcs(spec.traceFiles, opts, spec.machine.procs);
-    }
-    validateResolved(spec);
+    // Resolution (workload, repeats, filters and scale defaults, replay
+    // processor inference) is the shared service executor's; its
+    // "bench" kind keeps explicit machine geometry, which bench honours
+    // because it drives SmpSystem directly.
+    const std::string err = service::resolveSpec(spec, "bench");
+    if (!err.empty())
+        fatal(err);
     if (dumpSpecRequested(opts, spec))
         return 0;
 
-    // Bench drives SmpSystem directly, so explicit machine geometry in
-    // the spec is honoured here (unlike run/sweep).
     sim::SmpConfig cfg = spec.smpConfig();
     const unsigned repeat = spec.benchRepeat;
 
@@ -1149,8 +1134,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
             root.set("trace_digests",
                      api::Report::traceDigestsNode(spec.traceFiles));
         }
-        report.writeFile(opts.at("json"));
-        std::printf("wrote %s\n", opts.at("json").c_str());
+        writeJsonOpt(opts, report.root());
     }
     return 0;
 }
@@ -1177,9 +1161,9 @@ applySpecToFuzz(const api::ExperimentSpec &spec, verify::FuzzConfig &cfg)
     if (!spec.apps.empty() || !spec.traceFiles.empty())
         fatal("fuzz: the spec has a workload section — fuzz synthesizes "
               "its own adversarial traces (use run/replay/bench)");
-    rejectSweepAxes(spec, "fuzz");
-    if (spec.benchRepeat > 0)
-        fatal("fuzz: the spec has a bench section — use bench");
+    const std::string err = service::rejectForeignSections(spec, "fuzz");
+    if (!err.empty())
+        fatal(err);
 
     if (spec.hasMachine) {
         const std::vector<std::string> default_filters =
@@ -1300,38 +1284,28 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                   " conflicts with the repro's " +
                   std::to_string(traces.size()) + " streams");
         }
-        if (!verify::readReproConfig(opts.at("repro"), cfg.system)) {
+        api::ExperimentSpec sidecar;
+        if (!verify::readReproConfig(opts.at("repro"), cfg.system,
+                                     &sidecar)) {
             warn("no complete sidecar " + opts.at("repro") +
-                 ".json (or legacy .txt); replaying under the default "
-                 "configuration");
+                 ".json; replaying under the default configuration");
         }
         // Restore the recorded campaign's fuzz section too (seed and
         // budgets), so the --dump-spec/--json echo records the
         // campaign that caught the failure rather than the defaults.
         // Flags given explicitly on this invocation still win.
-        {
-            std::string err;
-            const json::Value doc =
-                json::parseFile(opts.at("repro") + ".json", &err);
-            const json::Value *sn =
-                err.empty() ? doc.find("spec") : nullptr;
-            if (sn) {
-                const api::ExperimentSpec sidecar =
-                    api::ExperimentSpec::fromJson(*sn, &err);
-                if (err.empty() && sidecar.hasFuzz) {
-                    if (!opts.count("seed"))
-                        cfg.seed = sidecar.fuzz.seed;
-                    if (!opts.count("rounds"))
-                        cfg.rounds = sidecar.fuzz.rounds;
-                    if (!opts.count("refs"))
-                        cfg.refsPerProc = sidecar.fuzz.refsPerProc;
-                    if (!opts.count("audit-every"))
-                        cfg.auditEvery = sidecar.fuzz.auditEvery;
-                    if (!opts.count("seconds"))
-                        cfg.timeBudgetSeconds = sidecar.fuzz.seconds;
-                    cfg.randomizeBuses = sidecar.fuzz.randomizeBuses;
-                }
-            }
+        if (sidecar.hasFuzz) {
+            if (!opts.count("seed"))
+                cfg.seed = sidecar.fuzz.seed;
+            if (!opts.count("rounds"))
+                cfg.rounds = sidecar.fuzz.rounds;
+            if (!opts.count("refs"))
+                cfg.refsPerProc = sidecar.fuzz.refsPerProc;
+            if (!opts.count("audit-every"))
+                cfg.auditEvery = sidecar.fuzz.auditEvery;
+            if (!opts.count("seconds"))
+                cfg.timeBudgetSeconds = sidecar.fuzz.seconds;
+            cfg.randomizeBuses = sidecar.fuzz.randomizeBuses;
         }
         // Explicit options override what the sidecar restored.
         overlayFilterFlag(opts, cfg.system.filterSpecs);
@@ -1358,8 +1332,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
             root.set("reproduced", reproduced);
             if (reproduced)
                 root.set("failure", failure);
-            report.writeFile(opts.at("json"));
-            std::printf("wrote %s\n", opts.at("json").c_str());
+            writeJsonOpt(opts, report.root());
         }
         return reproduced ? 2 : 0;
     }
@@ -1419,8 +1392,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
             root.set("records", result.records());
             root.set("repro", repro_path);
         }
-        report.writeFile(opts.at("json"));
-        std::printf("wrote %s\n", opts.at("json").c_str());
+        writeJsonOpt(opts, report.root());
     }
     return result.failed ? 2 : 0;
 }
@@ -1442,13 +1414,7 @@ cmdServe(const std::map<std::string, std::string> &opts)
     service::ServerConfig cfg;
     if (opts.count("socket"))
         cfg.socketPath = opts.at("socket");
-    if (opts.count("jobs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("jobs"), v))
-            fatal("--jobs needs a non-negative count, got '" +
-                  opts.at("jobs") + "'");
-        cfg.jobs = v;
-    }
+    cfg.jobs = jobsFlag(opts);
     enableDiskCache(opts);
 
     service::ExperimentServer server(cfg);
@@ -1486,13 +1452,7 @@ cmdWorker(const std::map<std::string, std::string> &opts)
     std::signal(SIGPIPE, SIG_IGN);
 
     dist::WorkerOptions wopts;
-    if (opts.count("jobs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("jobs"), v))
-            fatal("--jobs needs a non-negative count, got '" +
-                  opts.at("jobs") + "'");
-        wopts.jobs = v;
-    }
+    wopts.jobs = jobsFlag(opts);
     enableDiskCache(opts);
 
     if (const char *die = std::getenv("JETTY_WORKER_DIE_AFTER");
@@ -1588,8 +1548,7 @@ cmdSubmit(const std::string &specPath,
         const json::Value *report = resp.find("report");
         if (!report)
             fatal("server response carries no report");
-        json::writeFile(opts.at("json"), *report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
+        writeJsonOpt(opts, *report);
     }
     return 0;
 }
@@ -1602,18 +1561,22 @@ main(int argc, char **argv)
     if (argc < 2) {
         std::fprintf(stderr, "usage: jetty_cli run|sweep|apps|filters|"
                              "capture|trace|replay|serve|submit|worker|"
-                             "bench|fuzz [options]\n"
+                             "bench|fuzz|scorecard [options]\n"
                              "       (run/sweep/replay/bench/fuzz accept "
                              "--spec FILE / --dump-spec / --json FILE;\n"
-                             "        submit takes a positional SPEC.json)\n");
+                             "        submit takes a positional SPEC.json, "
+                             "scorecard a positional FILE)\n");
         return 1;
     }
     const std::string cmd = argv[1];
-    if (cmd == "submit") {
-        // submit's spec file is positional: jetty_cli submit SPEC.json
+    if (cmd == "submit" || cmd == "scorecard") {
+        // The file is positional: jetty_cli submit SPEC.json,
+        // jetty_cli scorecard FILE.
         const bool hasPath = argc >= 3 && argv[2][0] != '-';
         const auto opts = parseOptions(argc, argv, hasPath ? 3 : 2);
-        return cmdSubmit(hasPath ? argv[2] : "", opts);
+        const std::string path = hasPath ? argv[2] : "";
+        return cmd == "submit" ? cmdSubmit(path, opts)
+                               : cmdScorecard(path, opts);
     }
     const auto opts = parseOptions(argc, argv, 2);
     if (cmd == "run")
