@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
+#include <set>
 
 #include "util/string_utils.hh"
 #include "util/table.hh"
@@ -94,6 +95,129 @@ formatted(const std::string &unit, double v)
 }
 
 /**
+ * The checks of metric @p m (fields falling back to @p defaults) that
+ * need no Report: its spec is one of @p specIds, it has a value and a
+ * well-formed "where", and its unit is known.
+ * @return "" or the complaint.
+ */
+std::string
+checkMetric(const json::Value &m, const json::Value *defaults,
+            const std::set<std::string> &specIds)
+{
+    const std::string spec = field(m, defaults, "spec");
+    const std::string where = field(m, defaults, "where");
+    const std::string unit = field(m, defaults, "unit");
+    if (!specIds.count(spec))
+        return "unknown spec '" + spec + "'";
+    if (field(m, defaults, "value").empty() ||
+        (!where.empty() && where.find("==") == std::string::npos))
+        return "needs a \"value\" (and \"where\" reads '<path> == <json>')";
+    if (unit != "fraction" && unit != "percent" && unit != "count" &&
+        unit != "bytes")
+        return "unit '" + unit + "' (valid: fraction, percent, count, bytes)";
+    return "";
+}
+
+/** Panel column @p c as an object: a bare name is a filter column
+ *  under the panel's fields. */
+json::Value
+columnOf(const json::Value &c)
+{
+    if (!c.isString())
+        return c;
+    return object({{"label", c}, {"filter", c}});
+}
+
+/**
+ * Every check of scorecard @p doc that needs no Report: keys, metric
+ * fields, unique references, claim shapes and the references claims
+ * name. @return "" or the complaint, worded as evaluate() words its own.
+ */
+std::string
+validate(const json::Value &doc, const std::set<std::string> &specIds)
+{
+    std::set<std::string> refs;
+    const auto metric = [&](const json::Value &m, const json::Value *defaults,
+                            const std::string &ref,
+                            std::initializer_list<const char *> keys) {
+        std::string why = unknownKey(m, keys);
+        if (why.empty() && !refs.insert(ref).second)
+            why = "duplicate reference '" + ref + "'";
+        return why.empty() ? checkMetric(m, defaults, specIds) : why;
+    };
+    const auto fail = [](const std::string &where, const std::string &why) {
+        return "scorecard: " + where + ": " + why;
+    };
+
+    for (const auto &p : items(doc, "panels")) {
+        const std::string id = field(p, nullptr, "id");
+        const std::string why = unknownKey(
+            p, {"id", "title", "spec", "where", "value", "unit", "columns"});
+        if (!why.empty())
+            return fail("panel " + id, why);
+        for (const auto &c : items(p, "columns")) {
+            const json::Value col = columnOf(c);
+            const std::string label = field(col, nullptr, "label");
+            const std::string bad =
+                metric(col, &p, id + "/" + label,
+                       {"label", "spec", "where", "filter", "value", "unit"});
+            if (!bad.empty())
+                return fail("panel " + id + " column " + label, bad);
+        }
+        if (items(p, "columns").empty())
+            return fail("panel " + id, "no columns");
+    }
+
+    for (const auto &a : items(doc, "anchors")) {
+        const std::string name = field(a, nullptr, "name");
+        const json::Value *paper = a.find("paper");
+        const std::string why =
+            paper && paper->isNumber()
+                ? metric(a, nullptr, name,
+                         {"name", "quote", "paper", "spec", "where",
+                          "filter", "value", "unit"})
+                : "needs a \"paper\" number";
+        if (!why.empty())
+            return fail("anchor " + name, why);
+    }
+
+    for (const auto &c : items(doc, "claims")) {
+        const std::string text = field(c, nullptr, "claim");
+        const std::string gap = field(c, nullptr, "known_gap");
+        const json::Value *gated = c.find("gated");
+        const json::Value *everyApp = c.find("every_app");
+        const auto &chains = items(c, "order");
+        std::string why = unknownKey(c, {"claim", "order", "gated",
+                                         "every_app", "known_gap"});
+        if (why.empty() &&
+            (!gated || !gated->isBool() || (gated->asBool() && !gap.empty()) ||
+             (everyApp && !everyApp->isBool()) || chains.empty() ||
+             std::any_of(chains.begin(), chains.end(), [](const auto &ch) {
+                 return !ch.isArray() || ch.size() < 2;
+             })))
+            why = "needs \"gated\" and an \"order\" of chains of two or more "
+                  "terms (a known gap is never gated)";
+        if (!why.empty())
+            return fail("claim '" + text + "'", why);
+        const json::Value &head = chains[0].items()[0];
+        if (everyApp && everyApp->asBool() &&
+            !refs.count(head.isString() ? head.asString() : ""))
+            return fail("claim '" + text + "'",
+                        "every_app needs a reference as its first term");
+        for (const auto &chain : chains) {
+            for (const auto &t : chain.items()) {
+                if (!t.isNumber() &&
+                    !refs.count(t.isString() ? t.asString() : ""))
+                    return fail("claim '" + text + "'",
+                                "no value for " + t.dumpCompact() +
+                                    " at AVG");
+            }
+        }
+    }
+    return "";
+}
+
+/**
  * Evaluate the metric @p m (fields falling back to @p defaults) over its
  * spec's Report: @p out maps each selected cell's app to its value, then
  * "AVG" to their mean (summed in Report cell order).
@@ -113,16 +237,12 @@ evalMetric(const json::Value &m, const json::Value *defaults,
     if (report == reports.end())
         return "unknown spec '" + spec + "'";
     const std::size_t eq = where.find("==");
-    if (value.empty() || (!where.empty() && eq == std::string::npos))
-        return "needs a \"value\" (and \"where\" reads '<path> == <json>')";
     // The Report quantity's unit -> its scored form: a percentage,
-    // millions, MiB.
+    // millions, MiB (checkMetric vetted the unit).
     const double mul = unit == "fraction" ? 100 : 1;
     const double divisor = unit == "count"   ? 1e6
                            : unit == "bytes" ? 1024.0 * 1024.0
                                              : 1;
-    if (mul == 1 && divisor == 1 && unit != "percent")
-        return "unit '" + unit + "' (valid: fraction, percent, count, bytes)";
 
     const std::size_t div = value.find('/');
     out = json::Value::object();
@@ -191,6 +311,10 @@ Scorecard::load(const std::string &path, std::string *err)
             file = path.substr(0, slash + 1) + file;
         card.specs_.emplace_back(m.first, file);
     }
+    std::set<std::string> specIds;
+    for (const auto &spec : card.specs_)
+        specIds.insert(spec.first);
+    *err = validate(card.doc_, specIds);
     return card;
 }
 
@@ -200,15 +324,12 @@ Scorecard::evaluate(const std::map<std::string, json::Value> &reports,
 {
     // Every evaluated metric by its claim reference: "<panel>/<label>"
     // or the anchor's name.
+    // load() ran every check that needs no Report; what fails here is
+    // the Reports' content.
     std::map<std::string, json::Value> refs;
     const auto metric = [&](const json::Value &m, const json::Value *defaults,
-                            const std::string &ref,
-                            std::initializer_list<const char *> keys) {
-        std::string why = unknownKey(m, keys);
-        json::Value &values = refs[ref];
-        if (why.empty() && !values.isNull())
-            why = "duplicate reference '" + ref + "'";
-        return why.empty() ? evalMetric(m, defaults, reports, values) : why;
+                            const std::string &ref) {
+        return evalMetric(m, defaults, reports, refs[ref]);
     };
     const auto fail = [err](const std::string &where, const std::string &why) {
         *err = "scorecard: " + where + ": " + why;
@@ -219,30 +340,16 @@ Scorecard::evaluate(const std::map<std::string, json::Value> &reports,
     for (const auto &p : items(doc_, "panels")) {
         const std::string id = field(p, nullptr, "id");
         json::Value columns = json::Value::array();
-        const std::string why = unknownKey(
-            p, {"id", "title", "spec", "where", "value", "unit", "columns"});
-        if (!why.empty())
-            return fail("panel " + id, why);
         for (const auto &c : items(p, "columns")) {
-            // A bare name is a filter column under the panel's fields.
-            json::Value col = c;
-            if (c.isString()) {
-                col = json::Value::object();
-                col.set("label", c);
-                col.set("filter", c);
-            }
+            const json::Value col = columnOf(c);
             const std::string label = field(col, nullptr, "label");
-            const std::string bad =
-                metric(col, &p, id + "/" + label,
-                       {"label", "spec", "where", "filter", "value", "unit"});
+            const std::string bad = metric(col, &p, id + "/" + label);
             if (!bad.empty())
                 return fail("panel " + id + " column " + label, bad);
             columns.push(object({{"label", label},
                                  {"unit", field(col, &p, "unit")},
                                  {"values", refs[id + "/" + label]}}));
         }
-        if (columns.size() == 0)
-            return fail("panel " + id, "no columns");
         panels.push(object({{"id", id},
                             {"title", field(p, nullptr, "title")},
                             {"columns", std::move(columns)}}));
@@ -252,12 +359,7 @@ Scorecard::evaluate(const std::map<std::string, json::Value> &reports,
     for (const auto &a : items(doc_, "anchors")) {
         const std::string name = field(a, nullptr, "name");
         const json::Value *paper = a.find("paper");
-        const std::string why =
-            paper && paper->isNumber()
-                ? metric(a, nullptr, name,
-                         {"name", "quote", "paper", "spec", "where",
-                          "filter", "value", "unit"})
-                : "needs a \"paper\" number";
+        const std::string why = metric(a, nullptr, name);
         if (!why.empty())
             return fail("anchor " + name, why);
         const double simulated = refs[name].find("AVG")->asDouble();
@@ -276,28 +378,12 @@ Scorecard::evaluate(const std::map<std::string, json::Value> &reports,
         const json::Value *gated = c.find("gated");
         const json::Value *everyApp = c.find("every_app");
         const auto &chains = items(c, "order");
-        std::string why = unknownKey(c, {"claim", "order", "gated",
-                                         "every_app", "known_gap"});
-        if (why.empty() &&
-            (!gated || !gated->isBool() || (gated->asBool() && !gap.empty()) ||
-             (everyApp && !everyApp->isBool()) || chains.empty() ||
-             std::any_of(chains.begin(), chains.end(), [](const auto &ch) {
-                 return !ch.isArray() || ch.size() < 2;
-             })))
-            why = "needs \"gated\" and an \"order\" of chains of two or more "
-                  "terms (a known gap is never gated)";
-        if (!why.empty())
-            return fail("claim '" + text + "'", why);
         // Each chain must fall strictly on the means ("AVG") and, with
         // every_app, at every app of the first chain's first reference.
         std::vector<std::string> keys{"AVG"};
         const json::Value &head = chains[0].items()[0];
-        const auto first = refs.find(head.isString() ? head.asString() : "");
         if (everyApp && everyApp->asBool()) {
-            if (first == refs.end())
-                return fail("claim '" + text + "'",
-                            "every_app needs a reference as its first term");
-            for (const auto &m : first->second.members()) {
+            for (const auto &m : refs.at(head.asString()).members()) {
                 if (m.first != "AVG")
                     keys.push_back(m.first);
             }

@@ -30,8 +30,10 @@ class Scorecard
     /** The file and result schema version this build reads/writes. */
     static constexpr std::int64_t kVersion = 1;
 
-    /** Load @p path, whose spec files resolve relative to it; @p err
-     *  receives the problem ("" on success). */
+    /** Load @p path, whose spec files resolve relative to it, and run
+     *  every check that needs no Report (keys, units, metric fields,
+     *  claim shapes and references), so a malformed file fails before
+     *  any campaign runs; @p err receives the problem ("" on success). */
     static Scorecard load(const std::string &path, std::string *err);
 
     /** (id, spec file) pairs in file order. */
@@ -44,7 +46,8 @@ class Scorecard
     /** Score @p reports (one sweep Report per spec id) into the result
      *  document, which has no timing members: the same runs give the
      *  same bytes. @p scale > 0 is echoed as the runs' scale override.
-     *  @return the document, or null with @p err naming the entry. */
+     *  @return the document, or null with @p err naming the entry whose
+     *  Report lacks what it selects. */
     json::Value evaluate(const std::map<std::string, json::Value> &reports,
                          double scale, std::string *err) const;
 

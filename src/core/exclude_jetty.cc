@@ -1,5 +1,7 @@
 #include "core/exclude_jetty.hh"
 
+#include <algorithm>
+
 #include "energy/sram_array.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -21,18 +23,18 @@ ExcludeJetty::ExcludeJetty(const ExcludeJettyConfig &cfg,
     setMask_ = cfg.sets - 1;
     tagShift_ = amap.blockOffsetBits + setBits_;
     presTag_.assign(static_cast<std::size_t>(cfg.sets) * cfg.assoc, 0);
-    lastUse_.assign(presTag_.size(), 0);
 }
 
 bool
 ExcludeJetty::probe(Addr unitAddr)
 {
-    const std::size_t base = setBase(unitAddr);
+    std::uint64_t *const s = setOf(unitAddr);
     const std::uint64_t key = keyOf(unitAddr);
-    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    if (w < 0)
+    unsigned hole = 0;
+    const unsigned pos = simd::findStackU64(s, cfg_.assoc, key, hole);
+    if (pos == cfg_.assoc)
         return false;
-    lastUse_[base + static_cast<unsigned>(w)] = ++useClock_;
+    toFront(s, cfg_.assoc, key, pos, hole);
     return true;
 }
 
@@ -43,39 +45,13 @@ ExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
     // guarantee an entry encodes; a tag-matching subblock miss does not.
     if (blockPresent)
         return;
-
-    const std::size_t base = setBase(unitAddr);
+    // A hit (the hybrid's IJ filtered nothing, yet the EJ part matched)
+    // refreshes the entry; a miss allocates it.
+    std::uint64_t *const s = setOf(unitAddr);
     const std::uint64_t key = keyOf(unitAddr);
-
-    const int hit = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    if (hit >= 0) {
-        lastUse_[base + static_cast<unsigned>(hit)] = ++useClock_;
-        return;
-    }
-    allocate(base, key);
-}
-
-void
-ExcludeJetty::allocate(std::size_t base, std::uint64_t key)
-{
-    // Prefer a not-present way, else LRU.
-    std::size_t victim = base;
-    bool found_free = false;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (!(presTag_[base + w] & 1)) {
-            victim = base + w;
-            found_free = true;
-            break;
-        }
-    }
-    if (!found_free) {
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (lastUse_[base + w] < lastUse_[victim])
-                victim = base + w;
-        }
-    }
-    presTag_[victim] = key;
-    lastUse_[victim] = ++useClock_;
+    unsigned hole = 0;
+    const unsigned pos = simd::findStackU64(s, cfg_.assoc, key, hole);
+    toFront(s, cfg_.assoc, key, pos, hole);
 }
 
 void
@@ -83,9 +59,6 @@ ExcludeJetty::clear()
 {
     for (auto &w : presTag_)
         w = 0;
-    for (auto &u : lastUse_)
-        u = 0;
-    useClock_ = 0;
 }
 
 StorageBreakdown
@@ -123,6 +96,95 @@ ExcludeJetty::name() const
 {
     return "EJ-" + std::to_string(cfg_.sets) + "x" +
            std::to_string(cfg_.assoc);
+}
+
+void
+ExcludeJettyStack::add(ExcludeJetty *ej, FilterStats *stats)
+{
+    members_.push_back(ej);
+    stats_.push_back(stats);
+    const unsigned assoc = ej->cfg_.assoc;
+    if (assoc > depth_) {
+        deep_ = ej;
+        depth_ = assoc;
+    }
+    shallowest_ = members_.size() == 1 ? assoc
+                                       : std::min(shallowest_, assoc);
+    hist_.assign(2 * (static_cast<std::size_t>(depth_) + 1), 0);
+}
+
+void
+ExcludeJettyStack::beginFlush()
+{
+    // Every member is a prefix of the deep stack after each stacked
+    // flush and under any consistent immediate stream; an inconsistent
+    // one (possible only through observeSnoop or step()) can break that.
+    for (const ExcludeJetty *m : members_) {
+        if (m == deep_)
+            continue;
+        const unsigned a = m->cfg_.assoc;
+        for (std::size_t set = 0; set < m->cfg_.sets; ++set) {
+            const std::uint64_t *const own = &m->presTag_[set * a];
+            if (!std::equal(own, own + a, &deep_->presTag_[set * depth_])) {
+                perMember_ = true;
+                return;
+            }
+        }
+    }
+}
+
+void
+ExcludeJettyStack::endFlush()
+{
+    if (!perMember_)
+        foldAndCopy();
+    perMember_ = false;
+}
+
+void
+ExcludeJettyStack::split(const BankEvent &ev)
+{
+    foldAndCopy();
+    perMember_ = true;
+    applyPerMember(ev);
+}
+
+void
+ExcludeJettyStack::applyPerMember(const BankEvent &ev)
+{
+    for (std::size_t m = 0; m < members_.size(); ++m)
+        members_[m]->SnoopFilter::applyBatch(&ev, 1, *stats_[m]);
+}
+
+void
+ExcludeJettyStack::foldAndCopy()
+{
+    const std::size_t row = static_cast<std::size_t>(depth_) + 1;
+    for (std::size_t m = 0; m < members_.size(); ++m) {
+        ExcludeJetty &member = *members_[m];
+        FilterStats &st = *stats_[m];
+        const unsigned a = member.cfg_.assoc;
+        // Member A filtered exactly the snoops found at a position < A.
+        for (const bool unitInL2 : {false, true}) {
+            const std::uint64_t *const h = &hist_[unitInL2 ? row : 0];
+            std::uint64_t hits = 0, misses = 0;
+            for (unsigned p = 0; p <= depth_; ++p)
+                (p < a ? hits : misses) += h[p];
+            countSnoopVerdicts(st, unitInL2, true, hits);
+            countSnoopVerdicts(st, unitInL2, false, misses);
+        }
+        st.fillUpdates += fills_;
+        st.evictUpdates += evicts_;
+        if (&member == deep_)
+            continue;
+        const std::size_t sets = member.cfg_.sets;
+        for (std::size_t set = 0; set < sets; ++set)
+            std::copy_n(&deep_->presTag_[set * depth_], a,
+                        &member.presTag_[set * a]);
+    }
+    std::fill(hist_.begin(), hist_.end(), 0);
+    fills_ = 0;
+    evicts_ = 0;
 }
 
 } // namespace jetty::filter

@@ -14,12 +14,31 @@
  * safety an entry is only allocated when the snooping tag probe saw no
  * matching tag at all (whole block absent), and it is cleared the moment
  * a local miss fills any unit of the block.
+ *
+ * Each set is held as an LRU stack, most recently used way first; a way
+ * whose present bit is clear is a *hole*. Replacement (a not-present way
+ * first, else the least recently used one) is then three stack rules:
+ *
+ *  - an allocation removes the topmost hole, or drops the bottom way
+ *    when there is none, and pushes the key on top;
+ *  - a hit at position p moves the block to the top and, when a hole
+ *    sits above p, moves the topmost such hole down to p;
+ *  - a fill clears the block's present bit in place.
+ *
+ * Under these rules the top A ways of a deeper stack are exactly an
+ * A-way EJ of the same set count fed the same stream (Mattson et al.,
+ * 1970; Hill & Smith, 1989; here with holes), which is what lets
+ * ExcludeJettyStack replay a bank's same-set-count EJs as one
+ * stack-distance kernel. DESIGN.md "Stack-distance EJ replay" has the
+ * argument.
  */
 
 #ifndef JETTY_CORE_EXCLUDE_JETTY_HH
 #define JETTY_CORE_EXCLUDE_JETTY_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/snoop_filter.hh"
 #include "util/arena.hh"
@@ -47,39 +66,27 @@ class ExcludeJetty : public SnoopFilter
     void onEvict(Addr) override {}
     void clear() override;
 
-    /**
-     * The EJ family's event-major replay kernels (FilterBank's deferred
-     * flush): apply one queued event to each of the @p k EJs of a bank,
-     * accumulating into the matching @p stats slot. The bank branches
-     * on the event kind once and calls these directly, so a bank of
-     * several EJs pays one kind branch per event, not one per (event,
-     * filter). The snoop kernel folds probe and allocation: a miss
-     * that allocates reuses the probe's set scan (the key is known
-     * absent) instead of rescanning the set as onSnoopMiss must.
-     */
-    static inline void snoopFamily(const BankEvent &ev,
-                                   ExcludeJetty *const *ejs,
-                                   FilterStats *const *stats,
-                                   std::size_t k);
-    static inline void fillFamily(Addr unitAddr, ExcludeJetty *const *ejs,
-                                  FilterStats *const *stats, std::size_t k);
-
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts
     energyCosts(const energy::Technology &tech) const override;
     std::string name() const override;
 
+    const ExcludeJettyConfig &config() const { return cfg_; }
+
     /** Bits of tag stored per entry (block address above the set index). */
     unsigned storedTagBits() const { return tagBits_; }
 
   private:
-    /** First way of @p unitAddr's set in the flat entry arrays. */
-    std::size_t
-    setBase(Addr unitAddr) const
+    friend class ExcludeJettyStack;
+
+    /** The stack (first way) of @p unitAddr's set. */
+    std::uint64_t *
+    setOf(Addr unitAddr)
     {
-        return static_cast<std::size_t>(
-                   (unitAddr >> amap_.blockOffsetBits) & setMask_) *
-               cfg_.assoc;
+        return &presTag_[static_cast<std::size_t>(
+                             (unitAddr >> amap_.blockOffsetBits) &
+                             setMask_) *
+                         cfg_.assoc];
     }
 
     /** The probe key: the block's tag with the present bit set. */
@@ -89,8 +96,24 @@ class ExcludeJetty : public SnoopFilter
         return ((unitAddr >> tagShift_) << 1) | 1;
     }
 
-    /** Install @p key (known absent from the set at @p base). */
-    void allocate(std::size_t base, std::uint64_t key);
+    /**
+     * Move @p key to the top of the @p depth-way stack @p s: a hit when
+     * @p pos < depth, else an allocation. @p hole is the topmost hole
+     * above @p pos (depth when none), as simd::findStackU64 reports.
+     * Either rule shifts a prefix of the stack down one way and writes
+     * the key on top; a hit under a hole also moves that hole to @p pos.
+     */
+    static void
+    toFront(std::uint64_t *s, unsigned depth, std::uint64_t key,
+            unsigned pos, unsigned hole)
+    {
+        const unsigned k = std::min(std::min(pos, hole), depth - 1);
+        if (hole < pos && pos < depth)
+            s[pos] = s[hole];
+        for (unsigned i = k; i > 0; --i)
+            s[i] = s[i - 1];
+        s[0] = key;
+    }
 
     ExcludeJettyConfig cfg_;
     AddressMap amap_;
@@ -99,57 +122,135 @@ class ExcludeJetty : public SnoopFilter
     std::uint64_t setMask_;  //!< sets - 1
     unsigned tagShift_;      //!< blockOffsetBits + setBits_
     /**
-     * Packed entry words, flat [set * assoc + way]: (tag << 1) | present,
-     * cache-line aligned. A probe is one equality scan of a set's ways
-     * for (tag << 1) | 1 (a cleared present bit can never match — the
-     * key's low bit is set), which the SIMD kernel compares a whole
-     * vector of ways at a time. LRU clocks live in a parallel array so
-     * the scan stays dense.
+     * Packed entry words, flat [set * assoc + stack position]:
+     * (tag << 1) | present, each set most recently used first, cache-line
+     * aligned. A probe is one scan of a set for (tag << 1) | 1 (a
+     * cleared present bit can never match — the key's low bit is set),
+     * which the SIMD kernel runs a whole vector of ways at a time; the
+     * same scan finds the topmost hole. Recency is the order itself, so
+     * no clock is kept.
      */
     util::AlignedVec<std::uint64_t> presTag_;
-    util::AlignedVec<std::uint64_t> lastUse_;
-    std::uint64_t useClock_ = 0;
 };
 
 inline void
 ExcludeJetty::onFill(Addr unitAddr)
 {
-    const std::size_t base = setBase(unitAddr);
-    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc,
-                                  keyOf(unitAddr));
+    std::uint64_t *const s = setOf(unitAddr);
+    const int w = simd::findEqU64(s, cfg_.assoc, keyOf(unitAddr));
     // Part of the block is now cached: the guarantee is void. The tag
-    // stays (exactly the old Entry's cleared present bit).
+    // stays (exactly the old Entry's cleared present bit): the way
+    // becomes a hole where it stands.
     if (w >= 0)
-        presTag_[base + static_cast<unsigned>(w)] &= ~std::uint64_t{1};
+        s[w] &= ~std::uint64_t{1};
 }
 
-inline void
-ExcludeJetty::snoopFamily(const BankEvent &ev, ExcludeJetty *const *ejs,
-                          FilterStats *const *stats, std::size_t k)
+/**
+ * A bank's exact-type EJs of one set count, replayed through FilterBank's
+ * deferred flush as one LRU stack (the stack-distance kernel). The
+ * deepest member carries the stack; per snoop one scan gives the block's
+ * stack position p, one update applies the replacement rules, and one
+ * count lands in a histogram of (unitInL2, min(p, depth)). Fills update
+ * the stack in place and evictions are only counted. endFlush() folds
+ * the histogram into every member's FilterStats — a member of A ways
+ * filtered exactly the snoops with p < A — and copies the deep stack's
+ * top A ways into each shallower member, so between flushes every member
+ * holds its own true state.
+ *
+ * The stack cannot represent a snoop that some members filter while
+ * others do not when the L2 holds the block (the filtering members move
+ * it to the top; the others allocate nothing). A consistent L2 never
+ * produces one — an entry exists only while its block is absent — but
+ * when a stream does, the kernel folds what it has and finishes the
+ * flush member by member; so does a flush that finds a shallower member
+ * not a prefix of the deep one.
+ */
+class ExcludeJettyStack
 {
-    for (std::size_t m = 0; m < k; ++m) {
-        ExcludeJetty &f = *ejs[m];
-        const std::size_t base = f.setBase(ev.unitAddr);
-        const std::uint64_t key = f.keyOf(ev.unitAddr);
-        const int w = simd::findEqU64(&f.presTag_[base], f.cfg_.assoc, key);
-        if (w >= 0)
-            f.lastUse_[base + static_cast<unsigned>(w)] = ++f.useClock_;
-        applySnoopVerdict(*stats[m], ev, w >= 0,
-                          [&f, base, key](Addr, bool blockPresent) {
-                              if (!blockPresent)
-                                  f.allocate(base, key);
-                          });
+  public:
+    /** Add a member (same set count as the others) and its stats slot. */
+    void add(ExcludeJetty *ej, FilterStats *stats);
+
+    /** The members' set count. */
+    unsigned sets() const { return members_.front()->cfg_.sets; }
+
+    /** Start a flush: replay per member unless every member is a prefix
+     *  of the deep stack. */
+    void beginFlush();
+
+    /** Replay one queued event of each kind. */
+    inline void snoop(const BankEvent &ev);
+
+    void
+    fill(const BankEvent &ev)
+    {
+        if (perMember_) {
+            applyPerMember(ev);
+            return;
+        }
+        deep_->ExcludeJetty::onFill(ev.unitAddr);
+        ++fills_;
     }
-}
+
+    void
+    evict(const BankEvent &ev)
+    {
+        if (perMember_) {
+            applyPerMember(ev);
+            return;
+        }
+        ++evicts_;  // the EJ ignores evictions
+    }
+
+    /** End a flush: fold the counts into the members' stats and copy the
+     *  deep stack's prefixes into the shallower members. */
+    void endFlush();
+
+  private:
+    void applyPerMember(const BankEvent &ev);
+    /** Fold and copy out; the rest of the flush replays per member. */
+    void split(const BankEvent &ev);
+    void foldAndCopy();
+
+    std::vector<ExcludeJetty *> members_;
+    std::vector<FilterStats *> stats_;
+    ExcludeJetty *deep_ = nullptr;  //!< a member of the greatest assoc
+    unsigned depth_ = 0;            //!< deep_'s assoc
+    unsigned shallowest_ = 0;       //!< the least member assoc
+    /** Snoop counts by [unitInL2 * (depth + 1) + min(p, depth)]. */
+    std::vector<std::uint64_t> hist_;
+    std::uint64_t fills_ = 0;
+    std::uint64_t evicts_ = 0;
+    bool perMember_ = false;
+};
 
 inline void
-ExcludeJetty::fillFamily(Addr unitAddr, ExcludeJetty *const *ejs,
-                         FilterStats *const *stats, std::size_t k)
+ExcludeJettyStack::snoop(const BankEvent &ev)
 {
-    for (std::size_t m = 0; m < k; ++m) {
-        ejs[m]->ExcludeJetty::onFill(unitAddr);
-        ++stats[m]->fillUpdates;
+    if (perMember_) {
+        applyPerMember(ev);
+        return;
     }
+    ExcludeJetty &d = *deep_;
+    std::uint64_t *const s = d.setOf(ev.unitAddr);
+    const std::uint64_t key = d.keyOf(ev.unitAddr);
+    unsigned hole = 0;
+    const unsigned pos = simd::findStackU64(s, depth_, key, hole);
+    if (ev.unitInL2 || ev.blockInL2) {
+        // No member allocates; only a filtering one moves the block up.
+        if (pos < depth_ && pos >= shallowest_) {
+            split(ev);
+            return;
+        }
+        ++hist_[(ev.unitInL2 ? depth_ + 1 : 0) + pos];
+        if (pos < depth_)
+            ExcludeJetty::toFront(s, depth_, key, pos, hole);
+        return;
+    }
+    // The whole block is absent: every member ends with it on top, by a
+    // hit (p < A) or an allocation.
+    ++hist_[pos];
+    ExcludeJetty::toFront(s, depth_, key, pos, hole);
 }
 
 } // namespace jetty::filter

@@ -1,5 +1,6 @@
 #include "core/filter_bank.hh"
 
+#include <algorithm>
 #include <typeinfo>
 
 #include "core/exclude_jetty.hh"
@@ -20,18 +21,24 @@ FilterBank::FilterBank(const std::vector<std::string> &specs,
         filters_.push_back(makeFilter(spec, amap));
     stats_.resize(filters_.size());
 
-    // Group by family for the deferred replay. The exact-type test keeps
-    // a subclass (which may override a hook the kernels call directly)
-    // on the generic filter-major path.
+    // Group for the deferred replay: EJs by set count, VEJs as one
+    // family. The exact-type test keeps a subclass (which may override a
+    // hook the kernels call directly) on the generic filter-major path.
     for (std::size_t i = 0; i < filters_.size(); ++i) {
         SnoopFilter *const f = filters_[i].get();
         if (typeid(*f) == typeid(ExcludeJetty)) {
-            ejFamily_.filters.push_back(static_cast<ExcludeJetty *>(f));
-            ejFamily_.stats.push_back(&stats_[i]);
+            auto *const ej = static_cast<ExcludeJetty *>(f);
+            auto group = std::find_if(
+                ejStacks_.begin(), ejStacks_.end(),
+                [ej](const ExcludeJettyStack &g) {
+                    return g.sets() == ej->config().sets;
+                });
+            if (group == ejStacks_.end())
+                group = ejStacks_.emplace(ejStacks_.end());
+            group->add(ej, &stats_[i]);
         } else if (typeid(*f) == typeid(VectorExcludeJetty)) {
-            vejFamily_.filters.push_back(
-                static_cast<VectorExcludeJetty *>(f));
-            vejFamily_.stats.push_back(&stats_[i]);
+            vejs_.push_back(static_cast<VectorExcludeJetty *>(f));
+            vejStats_.push_back(&stats_[i]);
         } else {
             batchReplayed_.push_back(i);
         }
@@ -145,13 +152,12 @@ FilterBank::prepareFlush()
 void
 FilterBank::replayQueue()
 {
-    ExcludeJetty *const *const ej = ejFamily_.filters.data();
-    FilterStats *const *const ejStats = ejFamily_.stats.data();
-    const std::size_t nej = ejFamily_.filters.size();
-    VectorExcludeJetty *const *const vej = vejFamily_.filters.data();
-    FilterStats *const *const vejStats = vejFamily_.stats.data();
-    const std::size_t nvej = vejFamily_.filters.size();
+    VectorExcludeJetty *const *const vej = vejs_.data();
+    FilterStats *const *const vejStats = vejStats_.data();
+    const std::size_t nvej = vejs_.size();
 
+    for (ExcludeJettyStack &g : ejStacks_)
+        g.beginFlush();
     queue_.forEachRun([&](const BankEvent *evs, std::size_t n) {
         // Pull the run's tail toward the cache while the head replays;
         // each 64 B line holds four 16 B events.
@@ -163,32 +169,37 @@ FilterBank::replayQueue()
         for (const std::size_t i : batchReplayed_)
             filters_[i]->applyBatch(evs, n, stats_[i]);
 
-        // Event-major: one walk for every EJ and VEJ, one kind branch per
-        // event, each family's kernel applying it to all its members.
-        if (nej + nvej == 0)
+        // Event-major: one walk for every EJ group and the VEJ family,
+        // one kind branch per event.
+        if (ejStacks_.empty() && nvej == 0)
             return;
         for (std::size_t e = 0; e < n; ++e) {
             const BankEvent &ev = evs[e];
             switch (ev.kind) {
               case BankEvent::Kind::Snoop:
-                ExcludeJetty::snoopFamily(ev, ej, ejStats, nej);
+                for (ExcludeJettyStack &g : ejStacks_)
+                    g.snoop(ev);
                 VectorExcludeJetty::snoopFamily(ev, vej, vejStats, nvej);
                 break;
               case BankEvent::Kind::Fill:
-                ExcludeJetty::fillFamily(ev.unitAddr, ej, ejStats, nej);
+                for (ExcludeJettyStack &g : ejStacks_)
+                    g.fill(ev);
                 VectorExcludeJetty::fillFamily(ev.unitAddr, vej, vejStats,
                                                nvej);
                 break;
               case BankEvent::Kind::Evict:
-                // Both families ignore evictions; only the counter moves.
-                for (std::size_t m = 0; m < nej; ++m)
-                    ++ejStats[m]->evictUpdates;
+                for (ExcludeJettyStack &g : ejStacks_)
+                    g.evict(ev);
+                // The VEJs ignore evictions; only the counter moves.
                 for (std::size_t m = 0; m < nvej; ++m)
                     ++vejStats[m]->evictUpdates;
                 break;
             }
         }
     });
+    // Fold before completeFlush takes its safety decision.
+    for (ExcludeJettyStack &g : ejStacks_)
+        g.endFlush();
 }
 
 void

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/exclude_jetty.hh"
 #include "core/snoop_filter.hh"
 #include "energy/accountant.hh"
 #include "mem/cache_events.hh"
@@ -27,7 +28,6 @@
 namespace jetty::filter
 {
 
-class ExcludeJetty;
 class VectorExcludeJetty;
 
 /**
@@ -81,16 +81,22 @@ class FilterBank : public mem::CacheEventListener
     // The simulation hot loop defers filter work: snoops and the L2's
     // fill/evict notifications are queued in capture order — the order
     // immediate observation would have applied them — and a chunk-end
-    // flush replays the queue. The bank groups its filters by family at
-    // construction: the EJ and VEJ members replay *event-major* in one
-    // walk of the queue (per event, one kind branch, then each family's
-    // direct-call kernel applies it to every member), and every other
-    // family replays filter-major through its own applyBatch. Filters
-    // share no state, so any interleaving of their replays is
-    // result-identical; each filter still sees exactly the stream it
-    // would have seen immediately, so the deferred path is bit-identical
-    // to immediate observation at any snoop-bus count, and the
-    // no-false-negative guarantee carries over unchanged.
+    // flush replays the queue. The bank groups its filters at
+    // construction. The EJs are grouped by set count: each group is one
+    // ExcludeJettyStack, an LRU stack as deep as its largest member that
+    // holds every member's contents at once, so a snoop costs the group
+    // one scan, one update and one histogram count however many members
+    // it has; the flush's end folds the histogram into each member's
+    // stats and copies each member's prefix of the stack back into it
+    // (DESIGN.md "Stack-distance EJ replay"). The EJ groups and the VEJ
+    // family replay *event-major* in one walk of the queue (per event,
+    // one kind branch, then each group's or family's direct-call
+    // kernel), and every other family replays filter-major through its
+    // own applyBatch. Filters share no state, so any interleaving of
+    // their replays is result-identical; each filter ends in exactly the
+    // state, with exactly the counters, immediate observation would have
+    // left, so the deferred path is bit-identical to it at any snoop-bus
+    // count, and the no-false-negative guarantee carries over unchanged.
 
     /** Enter deferred mode: observeSnoop and the L2 listener hooks queue
      *  instead of applying. Requires no probe observer (the instrumented
@@ -158,19 +164,14 @@ class FilterBank : public mem::CacheEventListener
     void setProbeObserver(FilterProbeObserver *obs, ProcId owner);
 
   private:
-    /** The members of one event-major family, in bank order: direct
-     *  pointers to the filters and to their stats_ slots. */
-    template <typename F>
-    struct Family
-    {
-        std::vector<F *> filters;
-        std::vector<FilterStats *> stats;
-    };
-
     std::vector<SnoopFilterPtr> filters_;
     std::vector<FilterStats> stats_;
-    Family<ExcludeJetty> ejFamily_;
-    Family<VectorExcludeJetty> vejFamily_;
+    /** One stack-distance group per EJ set count. */
+    std::vector<ExcludeJettyStack> ejStacks_;
+    /** The VEJ family, in bank order: direct pointers to the filters and
+     *  to their stats_ slots. */
+    std::vector<VectorExcludeJetty *> vejs_;
+    std::vector<FilterStats *> vejStats_;
     /** Indices of the filters replayed filter-major (applyBatch). */
     std::vector<std::size_t> batchReplayed_;
     bool checkSafety_;

@@ -129,36 +129,50 @@ struct BankEvent
 };
 
 /**
- * The single copy of the snoop-arm bookkeeping: which counters a
- * verdict bumps, when the safety violation is counted, and when the
- * miss hook (exclude-side allocation) fires. The generic applyBatch,
- * the segmented walk below (and through it the IJ and hybrid
- * overrides) and the EJ/VEJ event-major family kernels all fold each
- * snoop verdict through this one function, so the protocol cannot
- * drift between the scalar, the batch-probed and the event-major
- * paths.
+ * The single copy of the snoop-arm bookkeeping: which counters @p n
+ * snoops bump when the filter did (@p filtered) or did not filter them,
+ * given the ground truth @p unitInL2, and when a safety violation is
+ * counted. applySnoopVerdict folds one verdict through it; the EJ
+ * stack kernel (ExcludeJettyStack) folds its histogram buckets through
+ * it with their multiplicities.
+ */
+inline void
+countSnoopVerdicts(FilterStats &st, bool unitInL2, bool filtered,
+                   std::uint64_t n)
+{
+    st.probes += n;
+    if (unitInL2) {
+        if (filtered) {
+            st.filtered += n;
+            st.safetyViolations += n;
+        }
+    } else {
+        st.wouldMiss += n;
+        if (filtered) {
+            st.filtered += n;
+            st.filteredWouldMiss += n;
+        } else {
+            st.snoopAllocs += n;
+        }
+    }
+}
+
+/**
+ * One snoop verdict: its counters through countSnoopVerdicts, and the
+ * miss hook (exclude-side allocation) for an unfiltered true miss. The
+ * generic applyBatch, the segmented walk below (and through it the IJ
+ * and hybrid overrides) and the VEJ event-major family kernel all fold
+ * each snoop verdict through this one function, so the protocol cannot
+ * drift between the scalar, the batch-probed and the event-major paths.
  */
 template <typename MissFn>
 inline void
 applySnoopVerdict(FilterStats &st, const BankEvent &ev, bool filtered,
                   MissFn &&missFn)
 {
-    ++st.probes;
-    if (ev.unitInL2) {
-        if (filtered) {
-            ++st.filtered;
-            ++st.safetyViolations;
-        }
-    } else {
-        ++st.wouldMiss;
-        if (filtered) {
-            ++st.filtered;
-            ++st.filteredWouldMiss;
-        } else {
-            missFn(ev.unitAddr, ev.blockInL2);
-            ++st.snoopAllocs;
-        }
-    }
+    countSnoopVerdicts(st, ev.unitInL2, filtered, 1);
+    if (!ev.unitInL2 && !filtered)
+        missFn(ev.unitAddr, ev.blockInL2);
 }
 
 /**
@@ -270,9 +284,10 @@ class SnoopFilter
      * events through the virtual probe/onSnoopMiss/onFill/onEvict hooks
      * with exactly the bookkeeping of FilterBank::observeSnoop, so every
      * family is batch-correct by construction; IJ and the IJ+EJ hybrid
-     * override it with devirtualized inner loops. The bank never calls
-     * it for an EJ or VEJ: those replay event-major through their
-     * family kernels (ExcludeJetty::snoopFamily and friends). Safety
+     * override it with devirtualized inner loops. The bank's deferred
+     * flush replays EJs through ExcludeJettyStack (which falls back to
+     * this walk one event at a time when it must replay per member) and
+     * VEJs through their event-major family kernel. Safety
      * violations are *counted* here (st.safetyViolations); the bank
      * decides whether to panic.
      */

@@ -43,9 +43,11 @@ class VectorExcludeJetty : public SnoopFilter
     /**
      * The VEJ family's event-major replay kernels (FilterBank's
      * deferred flush): apply one queued event to each of the @p k VEJs
-     * of a bank, accumulating into the matching @p stats slot — the
-     * direct-call counterpart of ExcludeJetty::snoopFamily/fillFamily.
-     * The snoop kernel folds probe and allocation over one set scan.
+     * of a bank, accumulating into the matching @p stats slot, so a bank
+     * of several VEJs pays one kind branch per event, not one per
+     * (event, filter). The snoop kernel folds probe and allocation over
+     * one set scan. (VEJs of different vector widths hold different
+     * tags, so unlike the EJs they share no LRU stack.)
      */
     static inline void snoopFamily(const BankEvent &ev,
                                    VectorExcludeJetty *const *vejs,

@@ -67,6 +67,22 @@ struct IndexRow
     std::uint64_t seq = 0;
 };
 
+/** Make @p file, of @p bytes, the most recent row of @p rows. */
+void
+bumpRow(std::vector<IndexRow> &rows, std::uint64_t &seq,
+        const std::string &file, std::uint64_t bytes)
+{
+    ++seq;
+    for (auto &row : rows) {
+        if (row.file == file) {
+            row.seq = seq;
+            row.bytes = bytes;
+            return;
+        }
+    }
+    rows.push_back({file, bytes, seq});
+}
+
 bool
 parseIndex(const json::Value &v, std::vector<IndexRow> &rows,
            std::uint64_t &seq)
@@ -95,6 +111,19 @@ parseIndex(const json::Value &v, std::vector<IndexRow> &rows,
     return true;
 }
 
+/** Bump, in order, every entry file of @p files still under @p root (an
+ *  entry another process evicted since its hit stays out). */
+void
+bumpExisting(const std::string &root, const std::vector<std::string> &files,
+             std::vector<IndexRow> &rows, std::uint64_t &seq)
+{
+    for (const auto &file : files) {
+        struct stat st;
+        if (::stat((root + "/" + file).c_str(), &st) == 0)
+            bumpRow(rows, seq, file, static_cast<std::uint64_t>(st.st_size));
+    }
+}
+
 json::Value
 buildIndex(const std::vector<IndexRow> &rows, std::uint64_t seq)
 {
@@ -119,6 +148,26 @@ DiskCache::DiskCache(std::string root, std::uint64_t budgetBytes)
     : root_(std::move(root)), budget_(budgetBytes)
 {
     makeDirs(root_);
+}
+
+DiskCache::~DiskCache()
+{
+    flushRecency();
+}
+
+void
+DiskCache::flushRecency()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pendingBumps_.empty())
+        return;
+    json::Value index = loadIndexLocked();
+    std::vector<IndexRow> rows;
+    std::uint64_t seq = 0;
+    parseIndex(index, rows, seq);
+    bumpExisting(root_, pendingBumps_, rows, seq);
+    pendingBumps_.clear();
+    storeIndexLocked(buildIndex(rows, seq));
 }
 
 std::string
@@ -217,22 +266,8 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
         return false;
     }
 
-    // Hit: bump recency in the index.
-    json::Value index = loadIndexLocked();
-    std::vector<IndexRow> rows;
-    std::uint64_t seq = 0;
-    parseIndex(index, rows, seq);
-    ++seq;
-    bool found = false;
-    for (auto &row : rows) {
-        if (row.file == file) {
-            row.seq = seq;
-            found = true;
-        }
-    }
-    if (!found)
-        rows.push_back({file, fileBytes(path), seq});
-    storeIndexLocked(buildIndex(rows, seq));
+    // Hit: the recency bump waits for the batch's flush.
+    pendingBumps_.push_back(file);
 
     result = std::move(res);
     covered = std::move(cov);
@@ -264,17 +299,11 @@ DiskCache::publish(const std::string &key, const AppRunResult &result,
     std::vector<IndexRow> rows;
     std::uint64_t seq = 0;
     parseIndex(index, rows, seq);
-    ++seq;
-    bool found = false;
-    for (auto &row : rows) {
-        if (row.file == file) {
-            row.seq = seq;
-            row.bytes = fileBytes(path);
-            found = true;
-        }
-    }
-    if (!found)
-        rows.push_back({file, fileBytes(path), seq});
+    // Earlier hits are more recent than anything before them and less
+    // recent than this publish.
+    bumpExisting(root_, pendingBumps_, rows, seq);
+    pendingBumps_.clear();
+    bumpRow(rows, seq, file, fileBytes(path));
 
     // LRU eviction by byte budget; never evict the entry just published.
     std::uint64_t total = 0;

@@ -10,6 +10,9 @@
  *   <root>/<16-hex-fnv64-of-key>.json   — one entry per cell
  *   <root>/index.json                   — recency + size index for LRU
  *
+ * Hits bump recency in memory; the index is rewritten once per batch of
+ * lookups (flushRecency), not once per hit.
+ *
  * Each entry is an envelope {"jetty_cache": <version>, "key": "<full
  * canonical key>", "covered": [filter specs...], "result": {...}} so a
  * filename hash collision is detected by comparing the embedded key, and
@@ -31,6 +34,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "experiments/experiments.hh"
 #include "util/json.hh"
@@ -52,18 +56,31 @@ class DiskCache
     /** Open (creating directories as needed) the cache at @p root. */
     DiskCache(std::string root, std::uint64_t budgetBytes);
 
+    /** Writes any recency bumps still pending (flushRecency). */
+    ~DiskCache();
+
     DiskCache(const DiskCache &) = delete;
     DiskCache &operator=(const DiskCache &) = delete;
 
     /**
      * Look up the cell for canonical key @p key. On a hit, fills
-     * @p result / @p covered, bumps the entry's recency, and returns
-     * true. Corrupt, truncated, or wrong-version entries are unlinked
-     * and read as misses; a filename-collision entry (embedded key
-     * differs) is a miss but is left in place.
+     * @p result / @p covered, queues a bump of the entry's recency (see
+     * flushRecency), and returns true. Corrupt, truncated, or
+     * wrong-version entries are unlinked and read as misses; a
+     * filename-collision entry (embedded key differs) is a miss but is
+     * left in place.
      */
     bool lookup(const std::string &key, AppRunResult &result,
                 std::set<std::string> &covered);
+
+    /**
+     * Write the recency bumps of the hits since the last flush to the
+     * index, in hit order, with one atomic index publish. A batch of
+     * lookups (runMany's) flushes once after it; publish() folds the
+     * pending bumps in before it picks eviction victims, and the
+     * destructor flushes what is left.
+     */
+    void flushRecency();
 
     /**
      * Publish (or overwrite) the cell for @p key atomically, then
@@ -89,6 +106,8 @@ class DiskCache
     std::string root_;
     std::uint64_t budget_;
     std::mutex mu_;
+    /** Entry files hit since the last index write, in hit order. */
+    std::vector<std::string> pendingBumps_;
 };
 
 } // namespace jetty::experiments

@@ -627,6 +627,9 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                 }
             }
         }
+        // One index write for the whole batch's disk hits.
+        if (cache.disk)
+            cache.disk->flushRecency();
     }
 
     // One concurrent sweep over the misses. Job order follows the key

@@ -7,11 +7,11 @@
  * (tag << 1) | present entry words, the include-JETTY's 64-per-word
  * p-bit array, the write-back buffer's 64-bit Bloom signature — exactly
  * so the batched replay loops could scan them more than one element per
- * step. This header is that step: four tiny kernels (equality scan,
- * p-bit gather-accumulate, one-hot multiplicative hash, and the L1
- * batch pre-classifier over packed (tag << 2) | writable | valid tag
- * words) with one implementation per ISA tier and a portable scalar
- * reference.
+ * step. This header is that step: five tiny kernels (equality scan,
+ * the exclude-JETTY's LRU-stack scan, p-bit gather-accumulate, one-hot
+ * multiplicative hash, and the L1 batch pre-classifier over packed
+ * (tag << 2) | writable | valid tag words) with one implementation per
+ * ISA tier and a portable scalar reference.
  *
  * Tier selection is two-level. The configure-time level picks the
  * family: the CMake option `JETTY_SIMD=OFF` defines JETTY_SIMD_DISABLED
@@ -22,9 +22,9 @@
  * cpuid — x86-64 builds with default flags (no -march) still run the
  * gather/variable-shift kernels at full width on AVX2 hardware, while
  * the same binary falls back to SSE2/scalar elsewhere. The per-element
- * findEqU64 scan stays a compile-time choice: its inputs are a handful
- * of ways, where an out-of-line dispatch call would cost more than the
- * scan.
+ * findEqU64 and findStackU64 scans stay a compile-time choice: their
+ * inputs are a handful of ways, where an out-of-line dispatch call
+ * would cost more than the scan.
  *
  * Every kernel is semantically identical across tiers —
  * tests/test_simd.cc asserts the dispatch tier against the scalar
@@ -141,6 +141,26 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
             return static_cast<int>(i);
     }
     return -1;
+}
+
+/**
+ * One scan of an LRU stack of @p n packed (tag << 1) | present words,
+ * MRU first (the exclude-JETTY's sets): @return the position of @p key
+ * (n when absent) and set @p hole to the topmost position above it whose
+ * present bit is clear (n when there is none).
+ */
+inline unsigned
+findStackU64(const std::uint64_t *words, std::size_t n, std::uint64_t key,
+             unsigned &hole)
+{
+    hole = static_cast<unsigned>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (words[i] == key)
+            return static_cast<unsigned>(i);
+        if (!(words[i] & 1) && hole == n)
+            hole = static_cast<unsigned>(i);
+    }
+    return static_cast<unsigned>(n);
 }
 
 /**
@@ -388,6 +408,46 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
 #endif
 }
 
+inline unsigned
+findStackU64(const std::uint64_t *words, std::size_t n, std::uint64_t key,
+             unsigned &hole)
+{
+    if (n > 64)
+        return scalar::findStackU64(words, n, key, hole);
+    // Whole-set match and hole masks with no early exit: the loop count
+    // is the set's depth, so the only data-dependent work is the two
+    // bit scans at the end.
+    const __m128i keyv = _mm_set1_epi64x(static_cast<long long>(key));
+    std::uint64_t eq = 0, clear = 0;
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(words + i));
+        const __m128i eq32 = _mm_cmpeq_epi32(v, keyv);
+        const __m128i eq64 = _mm_and_si128(
+            eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
+        eq |= static_cast<std::uint64_t>(
+                  _mm_movemask_pd(_mm_castsi128_pd(eq64)))
+              << i;
+        // The present bit shifted into the sign bit movemask reads.
+        const int present = _mm_movemask_pd(
+            _mm_castsi128_pd(_mm_slli_epi64(v, 63)));
+        clear |= static_cast<std::uint64_t>(~present & 3) << i;
+    }
+    if (i < n) {
+        eq |= static_cast<std::uint64_t>(words[i] == key) << i;
+        clear |= (~words[i] & 1) << i;
+    }
+    const unsigned pos =
+        eq ? static_cast<unsigned>(__builtin_ctzll(eq))
+           : static_cast<unsigned>(n);
+    if (pos < 64)
+        clear &= (std::uint64_t{1} << pos) - 1;
+    hole = clear ? static_cast<unsigned>(__builtin_ctzll(clear))
+                 : static_cast<unsigned>(n);
+    return pos;
+}
+
 inline void
 pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
                 std::size_t n, unsigned shift, std::uint64_t mask,
@@ -456,6 +516,13 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
     return tail < 0 ? -1 : static_cast<int>(i) + tail;
 }
 
+inline unsigned
+findStackU64(const std::uint64_t *words, std::size_t n, std::uint64_t key,
+             unsigned &hole)
+{
+    return scalar::findStackU64(words, n, key, hole);
+}
+
 /** NEON has no gather: the p-bit lookup stays scalar on this tier. */
 inline void
 pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
@@ -488,6 +555,13 @@ inline int
 findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
 {
     return scalar::findEqU64(words, n, key);
+}
+
+inline unsigned
+findStackU64(const std::uint64_t *words, std::size_t n, std::uint64_t key,
+             unsigned &hole)
+{
+    return scalar::findStackU64(words, n, key, hole);
 }
 
 inline void

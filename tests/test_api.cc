@@ -3,8 +3,9 @@
  * The declarative API layer: util/json writer/parser round trips,
  * ExperimentSpec parse/emit identity, unknown-key / version-mismatch /
  * range rejection with descriptive messages, canonicalization stability
- * (reordered keys -> the same RunCache key), Report schema goldens, and
- * the machine <-> SmpConfig mapping.
+ * (reordered keys -> the same RunCache key), Report schema goldens, the
+ * machine <-> SmpConfig mapping, the paper's filter lists against the
+ * committed figure specs, and scorecard load-time validation.
  *
  * The golden fixtures live in tests/golden/ (JETTY_SOURCE_DIR is
  * injected by the build): emitted bytes are compared against checked-in
@@ -22,9 +23,12 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "api/experiment_spec.hh"
 #include "api/report.hh"
+#include "api/scorecard.hh"
+#include "core/filter_spec.hh"
 #include "util/json.hh"
 
 using namespace jetty;
@@ -568,4 +572,62 @@ TEST(Spec, GoldenCanonicalFormIsStable)
     // canonical form itself has none.
     EXPECT_EQ(spec.canonicalText() + "\n", golden)
         << "canonical spec form drifted; RunCache keys would change";
+}
+
+// ---- The paper's filter lists and the committed figure specs ---------
+
+TEST(PaperSpecs, FilterListsEqualTheCommittedFigureSpecs)
+{
+    // The paper's per-figure filter lists live in filter_spec.cc (listed
+    // by `jetty_cli filters`) and in the figure specs the scorecard
+    // runs; an edit to one must not silently diverge from the other.
+    const auto filtersOf = [](const std::string &name) {
+        std::string err;
+        const ExperimentSpec spec = ExperimentSpec::parse(
+            readFile(std::string(JETTY_SOURCE_DIR) + "/examples/" + name),
+            &err);
+        EXPECT_EQ(err, "") << name << ": " << err;
+        return spec.filters;
+    };
+    const auto concat = [](std::vector<std::string> a,
+                           const std::vector<std::string> &b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    EXPECT_EQ(filtersOf("paper_figure4.spec.json"),
+              concat(filter::paperExcludeSpecs(),
+                     filter::paperVectorExcludeSpecs()));
+    EXPECT_EQ(filtersOf("paper_figure5.spec.json"),
+              concat(filter::paperIncludeSpecs(),
+                     filter::paperHybridSpecs()));
+}
+
+// ---- Scorecard: validated at load, before any campaign ---------------
+
+TEST(Scorecard, MisspeltUnitFailsInLoad)
+{
+    const std::string path = ::testing::TempDir() + "jetty_bad_unit.json";
+    {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs(R"({
+  "jetty_scorecard": 1,
+  "specs": {"fig4": "paper_figure4.spec.json"},
+  "panels": [{"id": "4a", "title": "t", "spec": "fig4",
+              "value": "filtered_snoops / snoops", "unit": "cnt",
+              "columns": ["EJ-32x4"]}]
+})",
+                   f);
+        std::fclose(f);
+    }
+    std::string err;
+    api::Scorecard::load(path, &err);
+    EXPECT_EQ(err, "scorecard: panel 4a column EJ-32x4: unit 'cnt' "
+                   "(valid: fraction, percent, count, bytes)");
+
+    // The committed scorecard passes every load-time check.
+    api::Scorecard::load(
+        std::string(JETTY_SOURCE_DIR) + "/examples/paper_scorecard.json",
+        &err);
+    EXPECT_EQ(err, "");
 }

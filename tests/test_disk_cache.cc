@@ -225,6 +225,48 @@ TEST(DiskCacheTest, LruEvictionHonorsRecencyAndBudget)
     EXPECT_TRUE(cache.lookup("key-3", got, gotCovered));
 }
 
+TEST(DiskCacheTest, BatchRecencySurvivesIntoAFreshCache)
+{
+    // Hits bump recency in memory and one flush writes the batch; a new
+    // DiskCache on the same root must evict in that order.
+    const std::string root = freshRoot("jetty_dc_batch");
+    const AppRunResult result = sampleResult();
+    const std::set<std::string> covered = {"EJ-16x2"};
+    const auto present = [&root](const std::string &key) {
+        struct stat st = {};
+        return ::stat((root + "/" + DiskCache::entryFileFor(key)).c_str(),
+                      &st) == 0;
+    };
+    std::uint64_t entryBytes = 0;
+    {
+        DiskCache cache(root, experiments::kDefaultDiskBudgetBytes);
+        for (const char *key : {"key-1", "key-2", "key-3"})
+            cache.publish(key, result, covered);
+        struct stat st = {};
+        ASSERT_EQ(::stat((root + "/" + DiskCache::entryFileFor("key-1"))
+                             .c_str(),
+                         &st),
+                  0);
+        entryBytes = static_cast<std::uint64_t>(st.st_size);
+        // One batch: key-1, then key-2; key-3 is now the oldest.
+        AppRunResult got;
+        std::set<std::string> gotCovered;
+        ASSERT_TRUE(cache.lookup("key-1", got, gotCovered));
+        ASSERT_TRUE(cache.lookup("key-2", got, gotCovered));
+        cache.flushRecency();
+    }
+    DiskCache fresh(root, entryBytes * 7 / 2);
+    fresh.publish("key-4", result, covered);
+    EXPECT_FALSE(present("key-3"));
+    EXPECT_TRUE(present("key-1"));
+    EXPECT_TRUE(present("key-2"));
+    fresh.publish("key-5", result, covered);
+    EXPECT_FALSE(present("key-1"));
+    EXPECT_TRUE(present("key-2"));
+    EXPECT_TRUE(present("key-4"));
+    EXPECT_TRUE(present("key-5"));
+}
+
 TEST(DiskCacheTest, RebuildsFromDirectoryScanWhenIndexIsCorrupt)
 {
     const std::string root = freshRoot("jetty_dc_index");

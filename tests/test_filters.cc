@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the JETTY filter family: exclude, vector-exclude,
  * include, hybrid, the spec parser, storage accounting and energy costs,
- * and the bank's grouped deferred replay against immediate observation.
+ * the bank's grouped deferred replay against immediate observation, and
+ * the stack-form EJ against the clock-LRU EJ it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/include_jetty.hh"
 #include "core/null_filter.hh"
 #include "core/vector_exclude_jetty.hh"
+#include "util/simd.hh"
 
 using namespace jetty;
 using namespace jetty::filter;
@@ -462,8 +464,9 @@ TEST(FilterSpec, HybridComposesVej)
 
 // ------------------------------------------ Grouped deferred replay ----
 //
-// FilterBank's deferred flush replays EJ and VEJ members event-major
-// through their family kernels and every other family filter-major.
+// FilterBank's deferred flush replays EJ groups (one LRU stack per set
+// count) and VEJ members event-major and every other family
+// filter-major.
 // Immediate observation (observeSnoop / unitFilled / unitEvicted) is the
 // oracle: a deferred bank flushed at arbitrary chunk splits must end in
 // exactly the same place, member for member, in any bank order.
@@ -696,9 +699,10 @@ TEST(GroupedReplay, CountsViolationsLikeImmediateObservation)
 
 TEST(GroupedReplayDeathTest, PanicNamesFirstViolatorInBankOrder)
 {
-    // The family kernels replay after the filter-major members, but the
-    // panic is decided in bank order: a filter-major hybrid ahead of the
-    // exclude members is named first, and an EJ or VEJ ahead of it is.
+    // The event-major kernels replay after the filter-major members, but
+    // the panic is decided in bank order: a filter-major hybrid ahead of
+    // the exclude members is named first, and an EJ or VEJ ahead of it
+    // is.
     const auto run_deferred = [](const std::vector<std::string> &order) {
         FilterBank bank(order, baseMap(), /*checkSafety=*/true);
         bank.beginDeferred();
@@ -726,4 +730,304 @@ TEST(GroupedReplayDeathTest, PanicNamesFirstViolatorInBankOrder)
                  "violation: HJ\\(IJ-10x4x7,EJ-32x4\\) filtered");
     EXPECT_DEATH(run_immediate(hybrid_first),
                  "violation: HJ\\(IJ-10x4x7,EJ-32x4\\) filtered");
+}
+
+// ----------------------------------------- Stack-distance EJ oracle ----
+//
+// ExcludeJetty holds each set as an LRU stack with holes, and the bank
+// replays same-set-count EJs as one stack (ExcludeJettyStack). The
+// oracle is the clock-LRU exclude-JETTY that representation replaced,
+// kept here verbatim and independent of it: flat (tag << 1) | present
+// words beside a parallel array of LRU clocks, allocation into the
+// first not-present way, else the least recently used one.
+
+namespace
+{
+
+class ClockLruExcludeJetty
+{
+  public:
+    ClockLruExcludeJetty(unsigned sets, unsigned assoc,
+                         const AddressMap &amap)
+        : assoc_(assoc), blockOffsetBits_(amap.blockOffsetBits),
+          setMask_(sets - 1),
+          presTag_(static_cast<std::size_t>(sets) * assoc, 0),
+          lastUse_(presTag_.size(), 0)
+    {
+        unsigned setBits = 0;
+        while ((1u << setBits) < sets)
+            ++setBits;
+        tagShift_ = amap.blockOffsetBits + setBits;
+    }
+
+    bool
+    probe(Addr unitAddr)
+    {
+        const std::size_t base = setBase(unitAddr);
+        const int w = simd::scalar::findEqU64(&presTag_[base], assoc_,
+                                              keyOf(unitAddr));
+        if (w < 0)
+            return false;
+        lastUse_[base + static_cast<unsigned>(w)] = ++useClock_;
+        return true;
+    }
+
+    void
+    onSnoopMiss(Addr unitAddr, bool blockPresent)
+    {
+        if (blockPresent)
+            return;
+        const std::size_t base = setBase(unitAddr);
+        const std::uint64_t key = keyOf(unitAddr);
+        const int hit = simd::scalar::findEqU64(&presTag_[base], assoc_, key);
+        if (hit >= 0) {
+            lastUse_[base + static_cast<unsigned>(hit)] = ++useClock_;
+            return;
+        }
+        allocate(base, key);
+    }
+
+    void
+    onFill(Addr unitAddr)
+    {
+        const std::size_t base = setBase(unitAddr);
+        const int w = simd::scalar::findEqU64(&presTag_[base], assoc_,
+                                              keyOf(unitAddr));
+        if (w >= 0)
+            presTag_[base + static_cast<unsigned>(w)] &= ~std::uint64_t{1};
+    }
+
+  private:
+    std::size_t
+    setBase(Addr unitAddr) const
+    {
+        return static_cast<std::size_t>(
+                   (unitAddr >> blockOffsetBits_) & setMask_) *
+               assoc_;
+    }
+
+    std::uint64_t
+    keyOf(Addr unitAddr) const
+    {
+        return ((unitAddr >> tagShift_) << 1) | 1;
+    }
+
+    void
+    allocate(std::size_t base, std::uint64_t key)
+    {
+        // Prefer a not-present way, else LRU.
+        std::size_t victim = base;
+        bool found_free = false;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (!(presTag_[base + w] & 1)) {
+                victim = base + w;
+                found_free = true;
+                break;
+            }
+        }
+        if (!found_free) {
+            for (unsigned w = 1; w < assoc_; ++w) {
+                if (lastUse_[base + w] < lastUse_[victim])
+                    victim = base + w;
+            }
+        }
+        presTag_[victim] = key;
+        lastUse_[victim] = ++useClock_;
+    }
+
+    unsigned assoc_;
+    unsigned blockOffsetBits_;
+    std::uint64_t setMask_;
+    unsigned tagShift_ = 0;
+    std::vector<std::uint64_t> presTag_;
+    std::vector<std::uint64_t> lastUse_;
+    std::uint64_t useClock_ = 0;
+};
+
+/**
+ * randomStream with the ground truth of one snoop in ten re-rolled: an
+ * inconsistent stream, on which EJs hit while the L2 holds the block —
+ * the events the bank's stack kernel cannot represent and must split on.
+ */
+std::vector<StreamEvent>
+scrambledStream(std::uint32_t seed, std::size_t n)
+{
+    std::vector<StreamEvent> events = randomStream(seed, n);
+    std::mt19937 rng(seed + 1000);
+    for (StreamEvent &ev : events) {
+        if (ev.kind != BankEvent::Kind::Snoop || rng() % 10 != 0)
+            continue;
+        ev.blockInL2 = rng() % 2 != 0;
+        ev.unitInL2 = ev.blockInL2 && rng() % 2 != 0;
+    }
+    return events;
+}
+
+/** Same-set-count EJ groups: assoc 1, 2, 4 and 65 at 16 sets. */
+const std::vector<std::string> kStackGroup = {"EJ-16x1", "EJ-16x2",
+                                              "EJ-16x4", "EJ-16x65"};
+
+} // namespace
+
+TEST(StackDistanceOracle, VerdictsMatchClockLruEventByEvent)
+{
+    for (const unsigned assoc : {1u, 2u, 4u, 65u}) {
+        for (const std::uint32_t seed : {1u, 2u, 3u}) {
+            for (const bool scrambled : {false, true}) {
+                const auto events = scrambled ? scrambledStream(seed, 20000)
+                                              : randomStream(seed, 20000);
+                ExcludeJetty ej({16, assoc}, baseMap());
+                ClockLruExcludeJetty ref(16, assoc, baseMap());
+                std::size_t hits = 0, misses = 0, mismatches = 0;
+                for (const StreamEvent &ev : events) {
+                    switch (ev.kind) {
+                      case BankEvent::Kind::Snoop: {
+                        const bool got = ej.probe(ev.unit);
+                        if (got != ref.probe(ev.unit))
+                            ++mismatches;
+                        (got ? hits : misses) += 1;
+                        if (!ev.unitInL2 && !got) {
+                            ej.onSnoopMiss(ev.unit, ev.blockInL2);
+                            ref.onSnoopMiss(ev.unit, ev.blockInL2);
+                        }
+                        break;
+                      }
+                      case BankEvent::Kind::Fill:
+                        ej.onFill(ev.unit);
+                        ref.onFill(ev.unit);
+                        break;
+                      case BankEvent::Kind::Evict:
+                        ej.onEvict(ev.unit);
+                        break;
+                    }
+                }
+                const std::string what =
+                    "assoc " + std::to_string(assoc) + " seed " +
+                    std::to_string(seed) + (scrambled ? " scrambled" : "");
+                EXPECT_EQ(mismatches, 0u) << what;
+                EXPECT_GT(hits, 0u) << what;
+                EXPECT_GT(misses, 0u) << what;
+            }
+        }
+    }
+}
+
+TEST(GroupedReplay, StackGroupsMatchImmediateInEveryBankOrder)
+{
+    // Every order of one same-set group, beside a second group, the VEJ
+    // family and a hybrid; consistent streams replay through the stack
+    // kernel, scrambled ones split into per-member replay.
+    std::vector<std::string> group = kStackGroup;
+    std::sort(group.begin(), group.end());
+    do {
+        std::vector<std::string> order = group;
+        order.insert(order.begin() + 2, "EJ-8x2");
+        order.insert(order.end(), {"VEJ-16x4-8", "EJ-8x4",
+                                   "HJ(IJ-9x4x7,EJ-16x2)"});
+        for (const std::uint32_t seed : {1u, 2u}) {
+            for (const bool scrambled : {false, true}) {
+                const auto events = scrambled ? scrambledStream(seed, 6000)
+                                              : randomStream(seed, 6000);
+                FilterBank immediate(order, baseMap(), !scrambled);
+                FilterBank deferred(order, baseMap(), !scrambled);
+                for (const StreamEvent &ev : events)
+                    feed(immediate, ev);
+                feedDeferred(deferred, events, seed * 17 + 3);
+
+                std::set<Addr> units;
+                for (const StreamEvent &ev : events)
+                    units.insert(ev.unit);
+                for (std::size_t i = 0; i < immediate.size(); ++i) {
+                    const std::string what =
+                        immediate.filterAt(i).name() + " seed " +
+                        std::to_string(seed) +
+                        (scrambled ? " scrambled" : "") + " order " +
+                        std::to_string(i);
+                    expectSameStats(deferred.statsAt(i),
+                                    immediate.statsAt(i), what);
+                    EXPECT_GT(immediate.statsAt(i).filteredWouldMiss, 0u)
+                        << what;
+                    std::size_t mismatches = 0;
+                    for (const Addr u : units) {
+                        if (deferred.filterAt(i).probe(u) !=
+                            immediate.filterAt(i).probe(u))
+                            ++mismatches;
+                    }
+                    EXPECT_EQ(mismatches, 0u) << what;
+                }
+            }
+        }
+    } while (std::next_permutation(group.begin(), group.end()));
+}
+
+TEST(GroupedReplay, SplitsWhenADeepMemberHitsUnderABlockInL2)
+{
+    // Three whole-block misses to one set leave the 4-way stack
+    // [c, b, a, hole] and the 2-way [c, b]. A snoop to a that claims
+    // the block cached then hits the 4-way at stack position 2 and
+    // misses the 2-way: the 4-way moves a to the top, the 2-way
+    // allocates nothing — no one stack holds both, so the flush splits
+    // and ends per member, the 4-way filtering b at position 2 and the
+    // 2-way at position 1. The next flush starts with the 2-way [b, c]
+    // no prefix of the 4-way [b, a, c, hole] and must replay per member
+    // too: the stack would have the 2-way miss c.
+    const Addr a = 0x40000;
+    const Addr stride = 32 * 64;  // same set of a 32-set EJ
+    const Addr b = a + stride, c = a + 2 * stride, d = a + 3 * stride;
+    const std::vector<StreamEvent> first = {
+        {BankEvent::Kind::Snoop, a, false, false},
+        {BankEvent::Kind::Snoop, b, false, false},
+        {BankEvent::Kind::Snoop, c, false, false},
+        {BankEvent::Kind::Snoop, a, false, true},
+        {BankEvent::Kind::Snoop, b, false, false},
+    };
+    const std::vector<StreamEvent> second = {
+        {BankEvent::Kind::Snoop, c, false, false},
+        {BankEvent::Kind::Snoop, d, false, false},
+        {BankEvent::Kind::Fill, c, false, false},
+        {BankEvent::Kind::Snoop, a, false, false},
+        {BankEvent::Kind::Evict, c, false, false},
+        {BankEvent::Kind::Snoop, c, false, false},
+        {BankEvent::Kind::Snoop, d, true, true},
+        {BankEvent::Kind::Snoop, b, false, false},
+    };
+    for (const std::vector<std::string> &order :
+         {std::vector<std::string>{"EJ-32x2", "EJ-32x4"},
+          std::vector<std::string>{"EJ-32x4", "EJ-32x1", "EJ-32x2"}}) {
+        FilterBank immediate(order, baseMap(), /*checkSafety=*/false);
+        FilterBank deferred(order, baseMap(), /*checkSafety=*/false);
+        deferred.beginDeferred();
+        for (const StreamEvent &ev : first) {
+            feed(immediate, ev);
+            feed(deferred, ev);
+        }
+        deferred.flushDeferred();
+        const int deep = deferred.indexOf("EJ-32x4");
+        const int two = deferred.indexOf("EJ-32x2");
+        ASSERT_GE(deep, 0);
+        ASSERT_GE(two, 0);
+        // The 4-way filters the block-in-L2 snoop to a and then b; the
+        // 2-way filters only b.
+        EXPECT_EQ(deferred.statsAt(static_cast<std::size_t>(deep))
+                      .filteredWouldMiss,
+                  2u);
+        EXPECT_EQ(deferred.statsAt(static_cast<std::size_t>(two))
+                      .filteredWouldMiss,
+                  1u);
+        for (const StreamEvent &ev : second) {
+            feed(immediate, ev);
+            feed(deferred, ev);
+        }
+        deferred.endDeferred();
+        for (std::size_t i = 0; i < immediate.size(); ++i)
+            expectSameStats(deferred.statsAt(i), immediate.statsAt(i),
+                            immediate.filterAt(i).name());
+        for (const Addr u : {a, b, c, d}) {
+            for (std::size_t i = 0; i < immediate.size(); ++i) {
+                EXPECT_EQ(deferred.filterAt(i).probe(u),
+                          immediate.filterAt(i).probe(u))
+                    << immediate.filterAt(i).name() << " unit " << u;
+            }
+        }
+    }
 }

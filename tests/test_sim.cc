@@ -458,6 +458,54 @@ TEST(SmpSystem, DeferredFilterReplayIsBitIdenticalAtAnyBusCount)
     }
 }
 
+TEST(SmpSystem, StepThenRunKeepsEjStackGroupsExact)
+{
+    // One system stepped part-way (immediate bank observation, every EJ
+    // on its own) and then run() to the end (deferred stack-distance
+    // replay of the same-set-count EJs, which starts by checking each
+    // member is a prefix of the deep stack) must score every filter as
+    // a pure run() and a pure step() do.
+    const auto outcome = [](unsigned steps, bool toEnd) {
+        SmpConfig cfg;
+        cfg.nprocs = 4;
+        cfg.l1.sizeBytes = 8 * 1024;
+        cfg.l1.blockBytes = 32;
+        cfg.l2.sizeBytes = 64 * 1024;
+        cfg.l2.blockBytes = 64;
+        cfg.l2.subblocks = 2;
+        cfg.filterSpecs = {"EJ-16x4", "EJ-16x1", "EJ-32x2", "EJ-16x2",
+                           "HJ(IJ-8x4x7,EJ-16x2)", "EJ-32x4"};
+        cfg.batchRefs = 64;
+        const trace::Workload workload(trace::appByName("lu"), cfg.nprocs,
+                                       0.02);
+        SmpSystem sys(cfg);
+        std::vector<trace::TraceSourcePtr> sources;
+        for (unsigned p = 0; p < cfg.nprocs; ++p)
+            sources.push_back(workload.makeSource(p));
+        sys.attachSources(std::move(sources));
+        for (unsigned i = 0; i < steps && sys.step(); ++i) {
+        }
+        if (toEnd) {
+            while (sys.step()) {
+            }
+        } else {
+            sys.run();
+        }
+        RunOutcome out;
+        out.stats = sys.stats();
+        for (std::size_t f = 0; f < sys.bank(0).size(); ++f)
+            out.filters.push_back(sys.mergedFilterStats(f));
+        return out;
+    };
+    const RunOutcome ran = outcome(0, false);
+    const RunOutcome stepped = outcome(0, true);
+    const RunOutcome mixed = outcome(20000, false);
+    EXPECT_GT(ran.filters[0].filteredWouldMiss, 0u);
+    expectIdenticalStats(ran.stats, mixed.stats);
+    expectIdenticalFilterStats(ran.filters, mixed.filters);
+    expectIdenticalFilterStats(stepped.filters, mixed.filters);
+}
+
 TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
 {
     // snoopBuses is a routing/reporting axis: every architectural

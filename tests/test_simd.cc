@@ -14,7 +14,8 @@
  *    simulator configures), so no lane narrows a key;
  *  - first-match semantics of findEqU64 with duplicate keys (the vector
  *    scan must report the lowest index, as the replacement policies
- *    depend on it).
+ *    depend on it), and findStackU64's topmost hole above the match
+ *    on sets deeper than its 64-way mask.
  *
  * On x86 the AVX2 batch variants are additionally tested directly
  * whenever the host offers AVX2, so a build whose compile-time tier is
@@ -100,6 +101,43 @@ checkFindEq(FindFn fn, const char *what)
                 EXPECT_EQ(fn(buf.base, n, buf.base[0]), 0)
                     << what << " duplicate, off=" << offset
                     << " n=" << n;
+            }
+        }
+    }
+}
+
+/** findStackU64 against its scalar reference: sets with holes at
+ *  random ways, over depths on both sides of the 64-way mask width. */
+void
+checkFindStack(const char *what)
+{
+    Rng rng(4242);
+    for (unsigned offset = 0; offset < 8; ++offset) {
+        for (std::size_t n = 0; n <= 70; ++n) {
+            Misaligned buf(n, offset, rng);
+            for (std::size_t i = 0; i < n; ++i) {
+                buf.base[i] &= (kAddrMask56 << 1) | 1;
+                // About one way in four is a hole.
+                if (rng.next() % 4 == 0)
+                    buf.base[i] &= ~std::uint64_t{1};
+                else
+                    buf.base[i] |= 1;
+            }
+            std::vector<std::uint64_t> keys = {~std::uint64_t{0}};
+            for (std::size_t i = 0; i < n; ++i) {
+                if (buf.base[i] & 1)
+                    keys.push_back(buf.base[i]);
+            }
+            for (const std::uint64_t key : keys) {
+                unsigned hole = 0, wantHole = 0;
+                const unsigned pos =
+                    simd::findStackU64(buf.base, n, key, hole);
+                const unsigned want = simd::scalar::findStackU64(
+                    buf.base, n, key, wantHole);
+                EXPECT_EQ(pos, want) << what << " off=" << offset
+                                     << " n=" << n;
+                EXPECT_EQ(hole, wantHole) << what << " off=" << offset
+                                          << " n=" << n << " pos=" << pos;
             }
         }
     }
@@ -237,6 +275,11 @@ checkL1Classify(L1ClassifyFn fn, const char *what)
 TEST(Simd, DispatchFindEqMatchesScalar)
 {
     checkFindEq(&simd::findEqU64, "dispatch");
+}
+
+TEST(Simd, DispatchFindStackMatchesScalar)
+{
+    checkFindStack("dispatch");
 }
 
 TEST(Simd, DispatchPbitAbsentMatchesScalar)
