@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "sim/latency.hh"
-#include "trace/trace_file.hh"
 #include "util/simd.hh"
 
 namespace jetty::api
@@ -165,7 +164,7 @@ Report::traceDigestsNode(const std::vector<std::string> &files)
         char digest[32];
         std::snprintf(digest, sizeof(digest), "0x%016llx",
                       static_cast<unsigned long long>(
-                          trace::traceFileDigest(file)));
+                          experiments::traceFileDigestCached(file)));
         row.set("digest", digest);
         arr.push(std::move(row));
     }

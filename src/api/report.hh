@@ -87,7 +87,9 @@ class Report
                                const std::vector<std::string> &specs);
 
     /** Content digests of @p files ("path" + "digest" rows), so a
-     *  report names exactly which capture bytes it measured. */
+     *  report names exactly which capture bytes it measured. Read
+     *  through experiments::traceFileDigestCached, whose memo the run's
+     *  cache key already filled, so no file is hashed twice. */
     static json::Value traceDigestsNode(
         const std::vector<std::string> &files);
 

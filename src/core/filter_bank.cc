@@ -46,13 +46,8 @@ FilterBank::FilterBank(const std::vector<std::string> &specs,
 }
 
 void
-FilterBank::observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
+FilterBank::walkSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
 {
-    if (deferred_) {
-        deferSnoop(unitAddr, unitInL2, blockInL2);
-        return;
-    }
-
     // Hot path: one call per filter per snoop per remote node. The
     // ground truth is identical for every filter, so the branch on it is
     // hoisted out of the loop; the counters each arm bumps are exactly
@@ -132,26 +127,12 @@ FilterBank::endDeferred()
 void
 FilterBank::flushDeferred()
 {
-    if (!prepareFlush())
-        return;
-    replayQueue();
-    completeFlush();
-}
-
-bool
-FilterBank::prepareFlush()
-{
     if (queue_.empty())
-        return false;
+        return;
     violationsBefore_.resize(stats_.size());
     for (std::size_t i = 0; i < stats_.size(); ++i)
         violationsBefore_[i] = stats_[i].safetyViolations;
-    return true;
-}
 
-void
-FilterBank::replayQueue()
-{
     VectorExcludeJetty *const *const vej = vejs_.data();
     FilterStats *const *const vejStats = vejStats_.data();
     const std::size_t nvej = vejs_.size();
@@ -197,14 +178,10 @@ FilterBank::replayQueue()
             }
         }
     });
-    // Fold before completeFlush takes its safety decision.
+    // Fold before the safety decision reads the violation counters.
     for (ExcludeJettyStack &g : ejStacks_)
         g.endFlush();
-}
 
-void
-FilterBank::completeFlush()
-{
     if (checkSafety_) {
         for (std::size_t i = 0; i < filters_.size(); ++i) {
             if (stats_[i].safetyViolations != violationsBefore_[i]) {

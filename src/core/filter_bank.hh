@@ -68,13 +68,23 @@ class FilterBank : public mem::CacheEventListener
                bool checkSafety = true);
 
     /**
-     * Present one snoop to every filter.
+     * Present one snoop to every filter: queued in capture order while
+     * the bank is deferred, walked through every filter now otherwise.
      * @param unitAddr   coherence-unit aligned snooped address.
      * @param unitInL2   ground truth: the unit is valid in the local L2.
      * @param blockInL2  ground truth: the enclosing block's tag matched
      *                   (the tag probe reports this for free).
      */
-    void observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2);
+    void
+    observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
+    {
+        if (deferred_) {
+            queue_.push(
+                {unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
+            return;
+        }
+        walkSnoop(unitAddr, unitInL2, blockInL2);
+    }
 
     // ---- The deferred (batched) observation path --------------------
     //
@@ -107,34 +117,9 @@ class FilterBank : public mem::CacheEventListener
     void endDeferred();
 
     /** Replay all queued events, staying deferred. Panics on a safety
-     *  violation when the bank checks safety. */
+     *  violation when the bank checks safety, naming the first
+     *  violating filter in bank order. */
     void flushDeferred();
-
-    // ---- The split flush, for parallel replay -----------------------
-    //
-    // flushDeferred() is prepareFlush() + replayQueue() +
-    // completeFlush(). Banks are independent (replayQueue touches only
-    // this bank's filters, stats and queue), so a dispatcher may run
-    // several banks' replayQueue calls concurrently and take every
-    // bank's safety-panic decision afterwards, in its own order.
-
-    /** Snapshot per-filter violation counters and report whether the
-     *  queue holds events (false: nothing to replay, skip the rest). */
-    bool prepareFlush();
-
-    /** Replay the queue through every filter of the bank. Counts safety
-     *  violations but never panics; thread-safe across distinct banks. */
-    void replayQueue();
-
-    /** Check safety (panic in filter order) and clear the queue. */
-    void completeFlush();
-
-    /** In deferred mode, queue one snoop with its captured ground truth. */
-    void
-    deferSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
-    {
-        queue_.push({unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
-    }
 
     /** Whether the bank is currently queueing. */
     bool deferred() const { return deferred_; }
@@ -164,6 +149,10 @@ class FilterBank : public mem::CacheEventListener
     void setProbeObserver(FilterProbeObserver *obs, ProcId owner);
 
   private:
+    /** observeSnoop's immediate walk: every filter judges the snoop now
+     *  (kept out of line, off the deferred hot path). */
+    void walkSnoop(Addr unitAddr, bool unitInL2, bool blockInL2);
+
     std::vector<SnoopFilterPtr> filters_;
     std::vector<FilterStats> stats_;
     /** One stack-distance group per EJ set count. */
@@ -184,7 +173,7 @@ class FilterBank : public mem::CacheEventListener
      *  does no allocator work, and each chunk is a contiguous
      *  cache-line-aligned run the batched applyBatch streams over. */
     util::ArenaQueue<BankEvent> queue_;
-    /** prepareFlush()'s per-filter safetyViolations snapshot. */
+    /** flushDeferred()'s per-filter safetyViolations snapshot. */
     std::vector<std::uint64_t> violationsBefore_;
 };
 

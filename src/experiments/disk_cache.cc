@@ -1,5 +1,7 @@
 #include "experiments/disk_cache.hh"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -21,6 +23,43 @@ namespace
 {
 
 constexpr const char *kIndexFile = "index.json";
+constexpr const char *kIndexLockFile = "index.lock";
+
+/**
+ * Exclusive advisory lock across processes (and across DiskCache
+ * instances in one process: flock binds to the open file description)
+ * for one load-modify-publish of the index. It locks a sibling file:
+ * index.json is replaced by rename on every publish, so a lock on it
+ * would guard an inode the next writer no longer opens. Best effort,
+ * like the rest of the tier: when the lock file cannot be opened the
+ * update runs unlocked and may lose a concurrent writer's bumps.
+ */
+class IndexLock
+{
+  public:
+    explicit IndexLock(const std::string &root)
+        : fd_(::open((root + "/" + kIndexLockFile).c_str(),
+                     O_RDWR | O_CREAT | O_CLOEXEC, 0644))
+    {
+        if (fd_ >= 0) {
+            while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
+            }
+        }
+    }
+
+    /** Closing the descriptor releases the lock. */
+    ~IndexLock()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+
+    IndexLock(const IndexLock &) = delete;
+    IndexLock &operator=(const IndexLock &) = delete;
+
+  private:
+    int fd_;
+};
 
 /** mkdir -p. Best effort: the cache degrades to all-miss if it fails. */
 void
@@ -161,6 +200,7 @@ DiskCache::flushRecency()
     std::lock_guard<std::mutex> lock(mu_);
     if (pendingBumps_.empty())
         return;
+    const IndexLock indexLock(root_);
     json::Value index = loadIndexLocked();
     std::vector<IndexRow> rows;
     std::uint64_t seq = 0;
@@ -295,6 +335,7 @@ DiskCache::publish(const std::string &key, const AppRunResult &result,
     if (!why.empty())
         return;  // best effort: the tier just misses next time
 
+    const IndexLock indexLock(root_);
     json::Value index = loadIndexLocked();
     std::vector<IndexRow> rows;
     std::uint64_t seq = 0;

@@ -9,9 +9,13 @@
  *
  *   <root>/<16-hex-fnv64-of-key>.json   — one entry per cell
  *   <root>/index.json                   — recency + size index for LRU
+ *   <root>/index.lock                   — flock serializing index updates
  *
  * Hits bump recency in memory; the index is rewritten once per batch of
- * lookups (flushRecency), not once per hit.
+ * lookups (flushRecency), not once per hit. Every index update (a flush
+ * or a publish) loads, bumps and republishes index.json under an
+ * exclusive flock on index.lock, so concurrent processes sharing a root
+ * never lose each other's bumps.
  *
  * Each entry is an envelope {"jetty_cache": <version>, "key": "<full
  * canonical key>", "covered": [filter specs...], "result": {...}} so a

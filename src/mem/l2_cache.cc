@@ -83,14 +83,7 @@ L2LookupResult
 L2Cache::probe(Addr addr) const
 {
     L2LookupResult res;
-    const int w = findWay(addr);
-    if (w < 0)
-        return res;
-    res.tagMatch = true;
-    const State s =
-        unitsOf(frameOf(setIndex(addr), w))[unitIndex(addr)];
-    res.unitValid = coherence::isValid(s);
-    res.state = s;
+    probeWay(addr, res);
     return res;
 }
 

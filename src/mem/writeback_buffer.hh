@@ -81,7 +81,7 @@ class WritebackBuffer
     }
 
     /** Signature-hash geometry, shared with the batched miss pipeline:
-     *  SmpSystem::prepareMissRun computes whole runs of signature bits
+     *  SmpSystem::prepareMissRows computes whole runs of signature bits
      *  through simd::oneHotHash with exactly these constants, so they
      *  are named once here instead of living as magic numbers in two
      *  hot paths. */

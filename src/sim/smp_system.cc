@@ -64,8 +64,6 @@ SmpSystem::SmpSystem(const SmpConfig &cfg)
         node->l2->addListener(node->bank.get());
         nodes_.push_back(std::move(node));
     }
-    if (cfg.replayThreads > 1)
-        replayPool_ = std::make_unique<WorkerPool>(cfg.replayThreads);
 }
 
 void
@@ -74,30 +72,8 @@ SmpSystem::flushAllBanks()
     // Timed per chunk, never per reference: a clock read costs tens of
     // nanoseconds, a chunk is hundreds of references per node.
     const auto t0 = std::chrono::steady_clock::now();
-    if (!replayPool_) {
-        for (auto &node : nodes_)
-            node->bank->flushDeferred();
-    } else {
-        // Parallel replay over banks. Each bank replays only its own
-        // filters against its own queue, in capture order — exactly the
-        // sequential flush's work — so any schedule yields the
-        // sequential result. prepareFlush snapshots the violation
-        // counters up front; completeFlush takes the panic decision
-        // after the join, walking nodes (and filters within each bank)
-        // in ascending order, so a safety failure reports
-        // deterministically however the replay ran.
-        preparedBanks_.clear();
-        for (auto &node : nodes_) {
-            if (node->bank->prepareFlush())
-                preparedBanks_.push_back(node->bank.get());
-        }
-        replayPool_->parallelFor(preparedBanks_.size(),
-                                 [this](std::size_t b) {
-                                     preparedBanks_[b]->replayQueue();
-                                 });
-        for (filter::FilterBank *bank : preparedBanks_)
-            bank->completeFlush();
-    }
+    for (auto &node : nodes_)
+        node->bank->flushDeferred();
     replaySeconds_ += std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -574,69 +550,15 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         probes += nodes_.size() - 1;
     }
 
-    if (deferActive_) {
-        // The batched hot path: identical coherence transitions, but the
-        // write-back scan is gated by the exact-safe presence signature
-        // (the address hashes to its signature bit once, tested against
-        // every remote buffer), the L2 snoop reuses the ground-truth
-        // probe's way lookup, and the filter bank observation is queued
-        // for the chunk-end batched replay instead of walking every
-        // filter now.
-        const std::uint64_t sig_bit =
-            prep ? prep->sigBit
-                 : mem::WritebackBuffer::signatureBitOf(unitAddr);
-        for (unsigned q = 0; q < nodes_.size(); ++q) {
-            if (q == requester)
-                continue;
-            Node &node = *nodes_[q];
-            ProcStats &qs = stats_.procs[q];
-
-            bool copy_here = false;
-            const bool wb_hit =
-                node.wb->maybeContainsSig(sig_bit) &&
-                node.wb->snoop(unitAddr, op == BusOp::BusReadX ||
-                                             op == BusOp::BusUpgrade);
-            if (wb_hit) {
-                copy_here = true;
-                ++qs.wbSnoopsHit;
-                resp.suppliedByCache = true;
-            }
-
-            mem::L2LookupResult probe_res;
-            const int way = node.l2->probeWay(unitAddr, probe_res);
-            node.bank->deferSnoop(unitAddr, probe_res.unitValid,
-                                  probe_res.tagMatch);
-
-            ++qs.snoopTagProbes;
-            ++qs.traffic.snoopTagProbes;
-
-            const State before = probe_res.state;
-            const auto outcome = node.l2->snoopAtWay(way, unitAddr, op);
-            if (outcome.hadCopy) {
-                copy_here = true;
-                ++qs.snoopHits;
-                if (outcome.supplied) {
-                    ++qs.snoopSupplies;
-                    resp.suppliedByCache = true;
-                    ++qs.traffic.snoopDataReads;
-                }
-                if (outcome.next != before)
-                    ++qs.traffic.snoopTagUpdates;
-                if (!coherence::isValid(outcome.next) ||
-                    coherence::isWritable(before)) {
-                    enforceInclusion(q, unitAddr);
-                }
-            } else {
-                ++qs.snoopMisses;
-            }
-
-            if (copy_here)
-                ++resp.remoteCopies;
-        }
-        stats_.remoteHits.sample(resp.remoteCopies);
-        return resp;
-    }
-
+    // One route for run() and step(): the write-back scan is gated by
+    // the exact-safe presence signature (the address hashes to its
+    // signature bit once, tested against every remote buffer), and the
+    // L2 snoop reuses the ground-truth probe's way lookup.
+    const std::uint64_t sig_bit =
+        prep ? prep->sigBit : mem::WritebackBuffer::signatureBitOf(unitAddr);
+    const bool takes_ownership =
+        op == BusOp::BusReadX || op == BusOp::BusUpgrade;
+    SimObserver *const obs = observer_;
     for (unsigned q = 0; q < nodes_.size(); ++q) {
         if (q == requester)
             continue;
@@ -653,8 +575,8 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         //    resurrect an M (write-without-bus) copy while the reader
         //    still holds Shared, the silent-stale-read coherence break
         //    the differential checkers caught.
-        const bool wb_hit = node.wb->snoop(
-            unitAddr, op == BusOp::BusReadX || op == BusOp::BusUpgrade);
+        const bool wb_hit = node.wb->maybeContainsSig(sig_bit) &&
+                            node.wb->snoop(unitAddr, takes_ownership);
         if (wb_hit) {
             copy_here = true;
             ++qs.wbSnoopsHit;
@@ -662,10 +584,13 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         }
 
         // 2. The JETTY bank observes the snoop with L2 ground truth
-        //    *before* any state transition. One probe serves both the
-        //    bank's ground truth and the pre-transition state below —
-        //    nothing mutates the L2 in between.
-        const auto probe_res = node.l2->probe(unitAddr);
+        //    *before* any state transition — queued for the chunk-end
+        //    replay while the bank is deferred, walked now otherwise.
+        //    One probe serves both the bank's ground truth and the
+        //    pre-transition state below; nothing mutates the L2 in
+        //    between.
+        mem::L2LookupResult probe_res;
+        const int way = node.l2->probeWay(unitAddr, probe_res);
         node.bank->observeSnoop(unitAddr, probe_res.unitValid,
                                 probe_res.tagMatch);
 
@@ -675,7 +600,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         ++qs.traffic.snoopTagProbes;
 
         const State before = probe_res.state;
-        const auto outcome = node.l2->snoop(unitAddr, op);
+        const auto outcome = node.l2->snoopAtWay(way, unitAddr, op);
         if (outcome.hadCopy) {
             copy_here = true;
             ++qs.snoopHits;
@@ -700,7 +625,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         if (copy_here)
             ++resp.remoteCopies;
 
-        if (observer_) {
+        if (obs) {
             // Emitted after the transition and inclusion enforcement, so
             // a checker sees the settled post-snoop node state.
             SnoopEvent ev;
@@ -713,14 +638,14 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
             ev.wbHit = wb_hit;
             ev.supplied = outcome.supplied;
             ev.busId = bus;
-            observer_->onSnoop(ev);
+            obs->onSnoop(ev);
         }
     }
 
     stats_.remoteHits.sample(resp.remoteCopies);
-    if (observer_)
-        observer_->onBusTransaction(requester, op, unitAddr,
-                                    resp.remoteCopies, bus);
+    if (obs)
+        obs->onBusTransaction(requester, op, unitAddr, resp.remoteCopies,
+                              bus);
     return resp;
 }
 

@@ -27,7 +27,6 @@
 #include "sim/interconnect.hh"
 #include "sim/observer.hh"
 #include "sim/sim_stats.hh"
-#include "sim/worker_pool.hh"
 #include "trace/trace_source.hh"
 
 namespace jetty::sim
@@ -70,18 +69,6 @@ struct SmpConfig
      * capture order at any bus count.
      */
     unsigned snoopBuses = 1;
-
-    /**
-     * Total threads (including the simulation thread) the chunk-end
-     * filter replay of run() may use. 1 keeps the replay sequential.
-     * The replay parallelizes over the nodes' banks — each bank replays
-     * its own queue in capture order, exactly as the sequential flush
-     * does, and the safety-panic decision is taken after the join in
-     * deterministic (node, filter) order — so every simulated number is
-     * bit-identical for every value; like batchRefs this is purely a
-     * wall-clock knob.
-     */
-    unsigned replayThreads = 1;
 
     /** Derive the filters' address-space facts. */
     filter::AddressMap addressMap() const;
@@ -188,10 +175,8 @@ class SmpSystem
      *  returns false) when the stream is exhausted. */
     bool refillBatch(Node &node);
 
-    /** Chunk-end flush of every node's deferred filter queues — over
-     *  the replay pool when cfg_.replayThreads > 1, else sequential.
-     *  Bit-identical either way (see SmpConfig::replayThreads). Adds
-     *  its wall time to replaySeconds_. */
+    /** Chunk-end flush of every node's deferred filter queues, in node
+     *  order. Adds its wall time to replaySeconds_. */
     void flushAllBanks();
 
     /**
@@ -208,10 +193,11 @@ class SmpSystem
     };
 
     /** Place a transaction on its home snoop bus: snoop all other
-     *  nodes, count remote copies, transition their states. While the
-     *  banks are deferred (the batched run() hot loop) the per-node
-     *  filter observation is queued instead of walked — both routes make
-     *  identical coherence state changes. @p prep, when given, carries
+     *  nodes, count remote copies, transition their states. The one
+     *  snoop route for run() and step() alike: each remote bank sees
+     *  the snoop with its L2 ground truth through observeSnoop, which
+     *  queues while the bank is deferred (the batched run() hot loop)
+     *  and walks every filter otherwise. @p prep, when given, carries
      *  the precomputed routing facts for @p unitAddr. */
     coherence::BusResponse
     broadcast(ProcId requester, coherence::BusOp op, Addr unitAddr,
@@ -297,8 +283,6 @@ class SmpSystem
     bool probeObserved_ = false;  //!< any bank has a probe observer
     bool deferActive_ = false;    //!< run() hot loop: banks are queueing
 
-    std::unique_ptr<WorkerPool> replayPool_;  //!< replayThreads > 1 only
-    std::vector<filter::FilterBank *> preparedBanks_;  //!< flush scratch
     double replaySeconds_ = 0.0;  //!< see replaySeconds()
 
     std::vector<Lane> lanes_;  //!< [live index] hot-loop chunk scratch

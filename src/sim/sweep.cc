@@ -80,10 +80,8 @@ SweepRunner::runOne(const SweepJob &job)
         system.attachSources(
             trace::makeFileSources(job.traceFiles, job.cfg.nprocs));
     } else {
-        trace::AppProfile app = job.app;
-        app.seed += job.seedOffset;
         workload = std::make_unique<trace::Workload>(
-            app, job.cfg.nprocs, job.accessScale, job.pageSpread);
+            job.app, job.cfg.nprocs, job.accessScale);
         res.memoryAllocated = workload->memoryAllocated();
 
         std::vector<trace::TraceSourcePtr> sources;

@@ -45,20 +45,13 @@ struct SweepJob
     /** Multiplies app.accessesPerProc (tests use << 1.0). */
     double accessScale = 1.0;
 
-    /** Physical/virtual footprint ratio of the page table. */
-    unsigned pageSpread = 8;
-
-    /** Mixed into the profile seed, so one app definition can run as
-     *  several distinct-trace jobs deterministically. */
-    std::uint64_t seedOffset = 0;
-
     /**
      * When non-empty the job replays these captured trace files through
      * streaming FileStreamSources instead of synthesizing from @ref app
      * (which then only contributes its name to reports): one file per
      * processor, one multi-section file, or one single-section file
      * cloned onto every processor (trace::makeFileSources rules).
-     * accessScale/pageSpread/seedOffset do not apply to replays.
+     * accessScale does not apply to replays.
      */
     std::vector<std::string> traceFiles;
 };

@@ -1,13 +1,13 @@
 /**
  * @file
- * WorkerPool: the one thread pool under both parallel engines — the
- * sweep runner's job batches and the per-bus filter replay of the
- * batched simulation loop.
+ * WorkerPool: the thread pool under the one parallel engine, the sweep
+ * runner's job batches (one simulation per job; a simulation itself
+ * runs on one thread).
  *
  * The pool exposes a single primitive, parallelFor(n, fn): run fn(i)
  * for every i in [0, n) and return when all calls finished. Work is
  * distributed by an atomic index counter that the *caller drains too*,
- * which gives two properties the replay path needs:
+ * which gives two properties:
  *  - deadlock freedom under nesting and concurrent calls: a caller
  *    never blocks on a worker that could itself be waiting — it chews
  *    through the remaining indices itself;
@@ -17,8 +17,8 @@
  *
  * Determinism contract: parallelFor promises nothing about execution
  * order, so callers must only hand it tasks that are mutually
- * independent (each writes its own slots). Both engines do exactly
- * that, which is why jobs=1 and jobs=N are bit-identical.
+ * independent (each writes its own slots). The sweep runner does
+ * exactly that, which is why jobs=1 and jobs=N are bit-identical.
  */
 
 #ifndef JETTY_SIM_WORKER_POOL_HH

@@ -227,6 +227,9 @@ TraceFuzzer::generate(std::uint64_t roundSeed,
 namespace
 {
 
+/** checkOnce calls one shrink may spend before it stops reducing. */
+constexpr std::uint64_t kMaxShrinkRuns = 400;
+
 std::vector<trace::TraceSourcePtr>
 sourcesFor(const TraceSet &traces)
 {
@@ -266,8 +269,7 @@ diffFilterStats(const filter::FilterStats &a, const filter::FilterStats &b)
 
 std::string
 TraceFuzzer::checkOnce(const sim::SmpConfig &system, const TraceSet &traces,
-                       std::uint64_t auditEvery, bool compareGolden,
-                       bool checkBatched, CoverageMap *cov)
+                       std::uint64_t auditEvery, CoverageMap *cov)
 {
     sim::SmpConfig cfg = system;
     cfg.checkSafety = false;  // the checkers report; the bank must not exit
@@ -282,9 +284,6 @@ TraceFuzzer::checkOnce(const sim::SmpConfig &system, const TraceSet &traces,
         cov->merge(suite.coverage());
     if (!suite.log().clean())
         return suite.log().summary();
-
-    if (!compareGolden && !checkBatched)
-        return "";
 
     // Pass 2: the golden model replays the identical streams.
     GoldenSmp golden(cfg);
@@ -317,37 +316,33 @@ TraceFuzzer::checkOnce(const sim::SmpConfig &system, const TraceSet &traces,
         return "";
     };
 
-    if (compareGolden) {
-        const std::string diff = diffSnapshots(gsnap, snapshotOf(checked));
-        if (!diff.empty())
-            return "golden-equivalence: " + diff;
-        const std::string bus_diff = compare_buses(checked, "step path");
-        if (!bus_diff.empty())
-            return bus_diff;
-    }
+    const std::string step_diff = diffSnapshots(gsnap, snapshotOf(checked));
+    if (!step_diff.empty())
+        return "golden-equivalence: " + step_diff;
+    const std::string step_bus_diff = compare_buses(checked, "step path");
+    if (!step_bus_diff.empty())
+        return step_bus_diff;
 
     // Pass 3: the batched hot path with hooks unset must land on the
     // same final state, and its capture-order filter replay must score
     // every filter exactly as the checked pass's immediate observation.
-    if (checkBatched) {
-        sim::SmpSystem batched(cfg);
-        batched.attachSources(sourcesFor(traces));
-        batched.run();
-        const std::string diff = diffSnapshots(gsnap, snapshotOf(batched));
-        if (!diff.empty())
-            return "batched-equivalence: " + diff;
-        const std::string bus_diff = compare_buses(batched, "batched path");
-        if (!bus_diff.empty())
-            return bus_diff;
-        for (std::size_t f = 0; f < batched.bank(0).size(); ++f) {
-            const std::string filter_diff =
-                diffFilterStats(checked.mergedFilterStats(f),
-                                batched.mergedFilterStats(f));
-            if (!filter_diff.empty()) {
-                return "batched-filter-equivalence: " +
-                       batched.bank(0).filterAt(f).name() + " step " +
-                       filter_diff + " batched";
-            }
+    sim::SmpSystem batched(cfg);
+    batched.attachSources(sourcesFor(traces));
+    batched.run();
+    const std::string diff = diffSnapshots(gsnap, snapshotOf(batched));
+    if (!diff.empty())
+        return "batched-equivalence: " + diff;
+    const std::string bus_diff = compare_buses(batched, "batched path");
+    if (!bus_diff.empty())
+        return bus_diff;
+    for (std::size_t f = 0; f < batched.bank(0).size(); ++f) {
+        const std::string filter_diff =
+            diffFilterStats(checked.mergedFilterStats(f),
+                            batched.mergedFilterStats(f));
+        if (!filter_diff.empty()) {
+            return "batched-filter-equivalence: " +
+                   batched.bank(0).filterAt(f).name() + " step " +
+                   filter_diff + " batched";
         }
     }
     return "";
@@ -381,12 +376,11 @@ TraceFuzzer::shrink(const TraceSet &traces, const std::string &invariant,
 
     std::uint64_t runs = 0;
     const auto still_fails = [&](const std::vector<Item> &list) {
-        if (runs >= cfg_.maxShrinkRuns)
+        if (runs >= kMaxShrinkRuns)
             return false;
         ++runs;
         const std::string failure =
-            checkOnce(system, rebuild(list), cfg_.auditEvery,
-                      cfg_.compareGolden, cfg_.checkBatched, nullptr);
+            checkOnce(system, rebuild(list), cfg_.auditEvery, nullptr);
         // Only reductions reproducing the *original* invariant count;
         // drifting onto a different violation would leave the repro
         // header documenting a failure the trace does not show.
@@ -398,7 +392,7 @@ TraceFuzzer::shrink(const TraceSet &traces, const std::string &invariant,
     // ddmin (complement-removal form): drop ever-smaller chunks while
     // the failure reproduces.
     std::size_t n = 2;
-    while (items.size() >= 2 && runs < cfg_.maxShrinkRuns) {
+    while (items.size() >= 2 && runs < kMaxShrinkRuns) {
         const std::size_t chunk = (items.size() + n - 1) / n;
         bool reduced = false;
         for (std::size_t start = 0; start < items.size(); start += chunk) {
@@ -464,7 +458,6 @@ TraceFuzzer::run()
         const std::size_t covered_before = result.coverage.cellsCovered();
         const std::string failure =
             checkOnce(round_system, traces, cfg_.auditEvery,
-                      cfg_.compareGolden, cfg_.checkBatched,
                       &result.coverage);
         ++result.roundsRun;
         result.totalRefs += cfg_.refsPerProc * cfg_.system.nprocs;
@@ -485,7 +478,7 @@ TraceFuzzer::run()
             // header describes exactly what the shipped trace shows.
             const std::string final_failure =
                 checkOnce(round_system, result.traces, cfg_.auditEvery,
-                          cfg_.compareGolden, cfg_.checkBatched, nullptr);
+                          nullptr);
             const auto final_colon = final_failure.find(':');
             if (final_colon != std::string::npos &&
                 final_failure.substr(0, final_colon) == result.invariant) {

@@ -99,9 +99,6 @@ struct FuzzConfig
     bool randomizeBuses = true;
 
     std::uint64_t auditEvery = 512;  //!< global audit cadence (refs)
-    bool compareGolden = true;       //!< step-path vs golden final state
-    bool checkBatched = true;        //!< batched run() vs golden + step
-    std::uint64_t maxShrinkRuns = 400;
 
     /** Small thrash-friendly geometry with every built-in family. */
     static sim::SmpConfig defaultSystem();
@@ -144,7 +141,9 @@ class TraceFuzzer
                       const std::array<double, kPatternCount> &weights);
 
     /**
-     * Replay @p traces through the three-way differential check.
+     * Replay @p traces through the three-way differential check: the
+     * step path under every online checker, then its final state against
+     * the golden model, then the batched run() against both.
      * @return "" when every invariant holds and all states agree,
      *         otherwise "invariant: detail" of the first failure.
      * @param cov when non-null, accumulates coverage from the checked
@@ -153,7 +152,6 @@ class TraceFuzzer
     static std::string checkOnce(const sim::SmpConfig &system,
                                  const TraceSet &traces,
                                  std::uint64_t auditEvery,
-                                 bool compareGolden, bool checkBatched,
                                  CoverageMap *cov);
 
     /**

@@ -257,73 +257,6 @@ TEST(Differential, MillionReferenceSplitBusRunsStayBitExact)
     }
 }
 
-TEST(Differential, ThreadedReplayIsBitIdenticalToSequential)
-{
-    // SmpConfig::replayThreads is a pure wall-clock knob: the chunk-end
-    // filter replay parallelizes over the nodes' banks, whose state
-    // is disjoint, and the safety-panic decision joins deterministically
-    // — so any thread count must produce the sequential run bit-for-bit
-    // (machine state, architectural counters, every per-filter
-    // statistic), at any bus count. Anchor it under the same
-    // 1M-reference adversarial trace set as the other differential
-    // acceptance tests, across 1/2/4 buses.
-    FuzzConfig cfg;
-    cfg.refsPerProc = 250'000;  // x4 processors = 1M references
-    TraceFuzzer fuzzer(cfg);
-    std::array<double, kPatternCount> weights;
-    weights.fill(1.0);
-    const TraceSet traces = fuzzer.generate(cfg.seed, weights);
-
-    const auto sources = [&traces] {
-        std::vector<trace::TraceSourcePtr> s;
-        for (const auto &t : traces)
-            s.push_back(std::make_unique<trace::VectorTraceSource>(t));
-        return s;
-    };
-
-    for (const unsigned buses : {1u, 2u, 4u}) {
-        sim::SmpConfig seq_cfg = cfg.system;
-        seq_cfg.snoopBuses = buses;
-        seq_cfg.replayThreads = 1;
-        sim::SmpSystem sequential(seq_cfg);
-        sequential.attachSources(sources());
-        sequential.run();
-        const auto seq_agg = sequential.stats().aggregate();
-
-        for (const unsigned threads : {2u, 4u}) {
-            sim::SmpConfig par_cfg = seq_cfg;
-            par_cfg.replayThreads = threads;
-            sim::SmpSystem threaded(par_cfg);
-            threaded.attachSources(sources());
-            threaded.run();
-
-            EXPECT_EQ(diffSnapshots(snapshotOf(sequential),
-                                    snapshotOf(threaded)),
-                      "")
-                << buses << " buses, " << threads << " replay threads";
-
-            const auto agg = threaded.stats().aggregate();
-            EXPECT_EQ(agg.accesses, seq_agg.accesses);
-            EXPECT_EQ(agg.l1Hits, seq_agg.l1Hits);
-            EXPECT_EQ(agg.snoopTagProbes, seq_agg.snoopTagProbes);
-            EXPECT_EQ(agg.snoopMisses, seq_agg.snoopMisses);
-            EXPECT_EQ(agg.busReads, seq_agg.busReads);
-            EXPECT_EQ(agg.busUpgrades, seq_agg.busUpgrades);
-            EXPECT_EQ(agg.wbInsertions, seq_agg.wbInsertions);
-
-            ASSERT_EQ(threaded.bank(0).size(), sequential.bank(0).size());
-            for (std::size_t f = 0; f < threaded.bank(0).size(); ++f) {
-                const auto fq = sequential.mergedFilterStats(f);
-                expectSameFilterStats(
-                    fq, threaded.mergedFilterStats(f),
-                    threaded.bank(0).filterAt(f).name() + " at " +
-                        std::to_string(buses) + " buses, " +
-                        std::to_string(threads) + " threads");
-            }
-        }
-    }
-}
-
 TEST(Differential, PipelineWalkBitIdenticalAtOneTwoFourBuses)
 {
     // The batched miss pipeline's acceptance proof on the associative
@@ -609,8 +542,7 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
 
     // The shrunk trace still reproduces the violation on a fresh system.
     EXPECT_NE(TraceFuzzer::checkOnce(cfg.system, result.traces,
-                                     cfg.auditEvery, false, false,
-                                     nullptr),
+                                     cfg.auditEvery, nullptr),
               "");
 
     // Round-trip through the repro file format; the reloaded traces must
@@ -620,7 +552,7 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
     const TraceSet reloaded = readReproTraces(path);
     ASSERT_EQ(reloaded.size(), result.traces.size());
     EXPECT_NE(TraceFuzzer::checkOnce(cfg.system, reloaded, cfg.auditEvery,
-                                     false, false, nullptr),
+                                     nullptr),
               "");
 
     // The sidecar restores the machine the failure was caught on —
@@ -636,7 +568,7 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
     EXPECT_EQ(restored.wbEntries, cfg.system.wbEntries);
     EXPECT_EQ(restored.snoopBuses, result.snoopBuses);
     EXPECT_NE(TraceFuzzer::checkOnce(restored, reloaded, cfg.auditEvery,
-                                     false, false, nullptr),
+                                     nullptr),
               "");
 
     // The sidecar is a JSON document whose embedded ExperimentSpec
@@ -721,8 +653,7 @@ TEST(Fuzzer, EveryPureNamedPatternIsCleanAndGoldenExact)
         weights[i] = 1.0;
         const TraceSet traces = fuzzer.generate(7 + i, weights);
         EXPECT_EQ(TraceFuzzer::checkOnce(cfg.system, traces,
-                                         cfg.auditEvery, true, true,
-                                         nullptr),
+                                         cfg.auditEvery, nullptr),
                   "")
             << patternName(static_cast<Pattern>(i));
     }

@@ -267,6 +267,56 @@ TEST(DiskCacheTest, BatchRecencySurvivesIntoAFreshCache)
     EXPECT_TRUE(present("key-5"));
 }
 
+TEST(DiskCacheTest, ConcurrentCachesOnOneRootKeepEveryBump)
+{
+    // Two DiskCache instances on one root stand in for two processes:
+    // each bumps its own key and flushes, over and over, at the same
+    // time. Every flush loads, bumps and republishes index.json; without
+    // the index lock the last writer wins and the other's bumps vanish.
+    const std::string root = freshRoot("jetty_dc_concurrent");
+    const AppRunResult result = sampleResult();
+    const auto indexSeq = [&root] {
+        std::string err;
+        const json::Value v = json::parse(slurp(root + "/index.json"), &err);
+        EXPECT_EQ(err, "");
+        const json::Value *seq = v.find("seq");
+        return seq ? seq->asU64() : 0;
+    };
+    {
+        DiskCache cache(root, experiments::kDefaultDiskBudgetBytes);
+        cache.publish("key-a", result, {"EJ-16x2"});
+        cache.publish("key-b", result, {"EJ-16x2"});
+    }
+    const std::uint64_t seqBefore = indexSeq();
+
+    constexpr int kFlushes = 40;
+    const auto bumper = [&root](const std::string &key) {
+        DiskCache cache(root, experiments::kDefaultDiskBudgetBytes);
+        AppRunResult got;
+        std::set<std::string> covered;
+        for (int i = 0; i < kFlushes; ++i) {
+            EXPECT_TRUE(cache.lookup(key, got, covered));
+            cache.flushRecency();
+        }
+    };
+    std::thread a(bumper, "key-a");
+    std::thread b(bumper, "key-b");
+    a.join();
+    b.join();
+
+    EXPECT_EQ(indexSeq(), seqBefore + 2 * kFlushes);
+    std::string err;
+    const json::Value index = json::parse(slurp(root + "/index.json"), &err);
+    ASSERT_EQ(err, "");
+    std::set<std::string> bumped;
+    for (const auto &row : index.find("entries")->items()) {
+        if (row.find("seq")->asU64() > seqBefore)
+            bumped.insert(row.find("file")->asString());
+    }
+    EXPECT_EQ(bumped, (std::set<std::string>{DiskCache::entryFileFor("key-a"),
+                                             DiskCache::entryFileFor("key-b")}));
+}
+
 TEST(DiskCacheTest, RebuildsFromDirectoryScanWhenIndexIsCorrupt)
 {
     const std::string root = freshRoot("jetty_dc_index");

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "api/report.hh"
 #include "experiments/experiments.hh"
 #include "sim/sweep.hh"
 #include "trace/apps.hh"
@@ -110,18 +111,6 @@ TEST(SweepRunner, PoolIsReusableAcrossBatches)
     ASSERT_EQ(first.size(), 1u);
     ASSERT_EQ(again.size(), 2u);
     expectSameStats(first[0].filterStats[0], again[0].filterStats[0]);
-}
-
-TEST(SweepRunner, SeedOffsetChangesTheTrace)
-{
-    auto job = sampleJobs()[0];
-    sim::SweepJob bumped = job;
-    bumped.seedOffset = 1;
-    const auto a = sim::SweepRunner::runOne(job);
-    const auto b = sim::SweepRunner::runOne(bumped);
-    // Same workload shape, different reference interleaving.
-    EXPECT_EQ(a.memoryAllocated, b.memoryAllocated);
-    EXPECT_NE(a.stats.aggregate().l1Hits, b.stats.aggregate().l1Hits);
 }
 
 TEST(TraceSourceContract, ResetReplaysTheSyntheticStream)
@@ -519,6 +508,47 @@ TEST(TraceDigestMemo, RunCacheClearInvalidatesTheMemo)
     const std::uint64_t digestB = experiments::traceFileDigestCached(path);
     EXPECT_NE(digestB, digestA);
     EXPECT_EQ(digestB, trace::traceFileDigest(path));
+
+    std::remove(path.c_str());
+    experiments::invalidateTraceDigestMemo();
+}
+
+TEST(TraceDigestMemo, ReplayReportAfterItsKeyHashesNoFile)
+{
+    // A replay Report lists its captures' digests right after the run's
+    // cache key hashed the same files: it must read the key's memoized
+    // digests instead of hashing every file a second time.
+    experiments::invalidateTraceDigestMemo();
+    const std::string path = ::testing::TempDir() + "jetty_report_digest.jtt";
+    std::vector<trace::TraceRecord> recsA, recsB;
+    makeDigestFixtures(recsA, recsB);
+    trace::writeTraceFile(path, recsA);
+    struct stat original = {};
+    ASSERT_EQ(::stat(path.c_str(), &original), 0);
+    char digestA[32];
+    std::snprintf(digestA, sizeof(digestA), "0x%016llx",
+                  static_cast<unsigned long long>(
+                      trace::traceFileDigest(path)));
+
+    int hashes = 0;
+    experiments::setTraceDigestPreHashHook(
+        [&hashes](const std::string &) { ++hashes; });
+    RunRequest req;
+    req.traceFiles = {path};
+    experiments::runCacheKey(req, 1.0);
+    EXPECT_EQ(hashes, 1);
+
+    // Same-stamp rewrite: only a fresh hash could see content B, so the
+    // Report naming digest A shows it read the key's memo.
+    trace::writeTraceFile(path, recsB);
+    struct timespec times[2] = {original.st_atim, original.st_mtim};
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+    hashes = 0;
+    const json::Value node = api::Report::traceDigestsNode({path});
+    experiments::setTraceDigestPreHashHook(nullptr);
+    EXPECT_EQ(hashes, 0);
+    ASSERT_EQ(node.items().size(), 1u);
+    EXPECT_EQ(node.items()[0].find("digest")->asString(), digestA);
 
     std::remove(path.c_str());
     experiments::invalidateTraceDigestMemo();

@@ -1315,7 +1315,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
         if (dumpSpecRequested(opts, specOfFuzz(cfg)))
             return 0;
         const std::string failure = verify::TraceFuzzer::checkOnce(
-            cfg.system, traces, cfg.auditEvery, true, true, nullptr);
+            cfg.system, traces, cfg.auditEvery, nullptr);
         const bool reproduced = !failure.empty();
         if (reproduced) {
             std::printf("repro %s reproduces:\n  %s\n",
