@@ -659,7 +659,8 @@ ExperimentSpec::expand() const
                 req.app = trace::appByName(name);
                 req.variant = variant;
                 req.filterSpecs = filters;
-                req.accessScale = scale;
+                if (scale > 0)  // unset: RunRequest's full-length default
+                    req.accessScale = scale;
                 requests.push_back(std::move(req));
             }
         }

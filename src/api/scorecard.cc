@@ -113,8 +113,9 @@ checkMetric(const json::Value &m, const json::Value *defaults,
         (!where.empty() && where.find("==") == std::string::npos))
         return "needs a \"value\" (and \"where\" reads '<path> == <json>')";
     if (unit != "fraction" && unit != "percent" && unit != "count" &&
-        unit != "bytes")
-        return "unit '" + unit + "' (valid: fraction, percent, count, bytes)";
+        unit != "bytes" && unit != "cycles")
+        return "unit '" + unit +
+               "' (valid: fraction, percent, count, bytes, cycles)";
     return "";
 }
 
@@ -238,7 +239,8 @@ evalMetric(const json::Value &m, const json::Value *defaults,
         return "unknown spec '" + spec + "'";
     const std::size_t eq = where.find("==");
     // The Report quantity's unit -> its scored form: a percentage,
-    // millions, MiB (checkMetric vetted the unit).
+    // millions, MiB; percent and cycles score as read (checkMetric
+    // vetted the unit).
     const double mul = unit == "fraction" ? 100 : 1;
     const double divisor = unit == "count"   ? 1e6
                            : unit == "bytes" ? 1024.0 * 1024.0

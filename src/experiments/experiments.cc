@@ -97,18 +97,6 @@ AppRunResult::costsFor(const std::string &name) const
     fatal("AppRunResult: unknown filter '" + name + "'");
 }
 
-double
-defaultScale()
-{
-    if (const char *env = std::getenv("JETTY_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0)
-            return v;
-        warn("ignoring non-positive JETTY_SCALE");
-    }
-    return 1.0;
-}
-
 // ---- The keyed run cache ---------------------------------------------
 
 namespace
@@ -274,6 +262,31 @@ project(const AppRunResult &full, const std::vector<std::string> &names)
         out.filterCosts.push_back(full.costsFor(name));
     }
     return out;
+}
+
+/** Append @p name to @p names unless present. @return whether it was
+ *  appended. */
+bool
+appendMissing(std::vector<std::string> &names, const std::string &name)
+{
+    if (std::find(names.begin(), names.end(), name) != names.end())
+        return false;
+    names.push_back(name);
+    return true;
+}
+
+/** Append to @p into each filter column (name, stats, costs) of @p from
+ *  that @p into lacks. Both describe the same simulated cell, and filters
+ *  are passive observers, so the union is exact. */
+void
+mergeFilterColumns(AppRunResult &into, const AppRunResult &from)
+{
+    for (std::size_t f = 0; f < from.filterNames.size(); ++f) {
+        if (appendMissing(into.filterNames, from.filterNames[f])) {
+            into.filterStats.push_back(from.filterStats[f]);
+            into.filterCosts.push_back(from.filterCosts[f]);
+        }
+    }
 }
 
 } // namespace
@@ -493,7 +506,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
 {
     auto &cache = *RunCache::instance().impl_;
 
-    // Resolve each request: scale, cache key, canonical spec names
+    // Resolve each request: cache key, canonical spec names
     // (deduplicated, first-occurrence order). Canonical names round-trip
     // through the registry, so they double as the simulation's spec list.
     struct Prepared
@@ -527,17 +540,11 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
     std::vector<Prepared> prepared(requests.size());
     for (std::size_t r = 0; r < requests.size(); ++r) {
         const RunRequest &req = requests[r];
-        const double scale =
-            req.accessScale > 0 ? req.accessScale : defaultScale();
         const filter::AddressMap amap =
             req.variant.smpConfig().addressMap();
-        prepared[r].key = runCacheKey(req, scale);
-        for (const auto &spec : req.filterSpecs) {
-            const std::string name = canonical(spec, amap);
-            auto &names = prepared[r].names;
-            if (std::find(names.begin(), names.end(), name) == names.end())
-                names.push_back(name);
-        }
+        prepared[r].key = runCacheKey(req, req.accessScale);
+        for (const auto &spec : req.filterSpecs)
+            appendMissing(prepared[r].names, canonical(spec, amap));
     }
 
     // Decide, under the lock, which keys need a (re-)simulation. A key
@@ -583,19 +590,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                         } else {
                             // Merge, never overwrite: tier 0 may hold
                             // filters the disk entry predates.
-                            auto &names = entry.result.filterNames;
-                            for (std::size_t f = 0;
-                                 f < dres.filterNames.size(); ++f) {
-                                const auto &name = dres.filterNames[f];
-                                if (std::find(names.begin(), names.end(),
-                                              name) == names.end()) {
-                                    names.push_back(name);
-                                    entry.result.filterStats.push_back(
-                                        dres.filterStats[f]);
-                                    entry.result.filterCosts.push_back(
-                                        dres.filterCosts[f]);
-                                }
-                            }
+                            mergeFilterColumns(entry.result, dres);
                             entry.covered.insert(dcov.begin(), dcov.end());
                         }
                         it = cache.entries.find(p.key);
@@ -610,21 +605,12 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                 job.request = r;
                 if (it != cache.entries.end())
                     job.names = it->second.result.filterNames;
-                for (const auto &name : p.names) {
-                    if (std::find(job.names.begin(), job.names.end(),
-                                  name) == job.names.end()) {
-                        job.names.push_back(name);
-                    }
-                }
+                for (const auto &name : p.names)
+                    appendMissing(job.names, name);
                 pending.emplace(p.key, std::move(job));
             } else {
-                for (const auto &name : p.names) {
-                    auto &names = pend_it->second.names;
-                    if (std::find(names.begin(), names.end(), name) ==
-                        names.end()) {
-                        names.push_back(name);
-                    }
-                }
+                for (const auto &name : p.names)
+                    appendMissing(pend_it->second.names, name);
             }
         }
         // One index write for the whole batch's disk hits.
@@ -645,8 +631,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
             sj.app = req.app;
             sj.cfg = req.variant.smpConfig();
             sj.cfg.filterSpecs = job.names;
-            sj.accessScale =
-                req.accessScale > 0 ? req.accessScale : defaultScale();
+            sj.accessScale = req.accessScale;
             sj.traceFiles = req.traceFiles;
             sweepJobs.push_back(std::move(sj));
             order.push_back(&job);
@@ -682,17 +667,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
             // what keeps the projection below (and other threads')
             // lookups safe.
             CacheEntry &entry = cache.entries[key];
-            for (std::size_t f = 0; f < entry.result.filterNames.size();
-                 ++f) {
-                const auto &name = entry.result.filterNames[f];
-                if (std::find(merged.filterNames.begin(),
-                              merged.filterNames.end(),
-                              name) == merged.filterNames.end()) {
-                    merged.filterNames.push_back(name);
-                    merged.filterStats.push_back(entry.result.filterStats[f]);
-                    merged.filterCosts.push_back(entry.result.filterCosts[f]);
-                }
-            }
+            mergeFilterColumns(merged, entry.result);
             entry.result = std::move(merged);
             entry.covered.insert(entry.result.filterNames.begin(),
                                  entry.result.filterNames.end());
@@ -733,23 +708,6 @@ runApp(const trace::AppProfile &app, const SystemVariant &variant,
     std::vector<RunRequest> requests;
     requests.push_back(std::move(req));
     return std::move(runMany(requests).front());
-}
-
-std::vector<AppRunResult>
-runAllApps(const SystemVariant &variant,
-           const std::vector<std::string> &specs, double accessScale,
-           unsigned jobs)
-{
-    std::vector<RunRequest> requests;
-    for (const auto &app : trace::paperApps()) {
-        RunRequest req;
-        req.app = app;
-        req.variant = variant;
-        req.filterSpecs = specs;
-        req.accessScale = accessScale;
-        requests.push_back(std::move(req));
-    }
-    return runMany(requests, jobs);
 }
 
 EnergyResult

@@ -178,9 +178,7 @@ resolveSpec(api::ExperimentSpec &spec, const std::string &kind)
 std::string
 cellCacheKey(const experiments::RunRequest &req)
 {
-    const double scale =
-        req.accessScale > 0 ? req.accessScale : experiments::defaultScale();
-    return api::runCacheKey(req, scale);
+    return api::runCacheKey(req, req.accessScale);
 }
 
 std::vector<std::string>

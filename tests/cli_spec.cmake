@@ -68,7 +68,7 @@ endif()
 # The committed example specs resolve through their natural subcommand.
 run_cli(q run --spec ${EXAMPLES}/quickstart.spec.json --dump-spec)
 # The paper specs the scorecard runs are sweep fixed points too.
-foreach(paper figure4 figure5 8way nosubblock)
+foreach(paper figure4 figure5 8way nosubblock ablations)
   check_dump_roundtrip(paper_${paper} sweep
                        --spec ${EXAMPLES}/paper_${paper}.spec.json)
 endforeach()

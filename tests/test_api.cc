@@ -22,6 +22,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -602,30 +603,64 @@ TEST(PaperSpecs, FilterListsEqualTheCommittedFigureSpecs)
                      filter::paperHybridSpecs()));
 }
 
+TEST(PaperSpecs, AblationCellsAreFigure4Cells)
+{
+    // The ablation panels only add filters to cells the scorecard
+    // already simulates: every ablation cell's RunCache key must be a
+    // Figure-4 cell's key, so runMany folds them into one simulation.
+    const auto keysOf = [](const std::string &name) {
+        std::string err;
+        const ExperimentSpec spec = ExperimentSpec::parse(
+            readFile(std::string(JETTY_SOURCE_DIR) + "/examples/" + name),
+            &err);
+        EXPECT_EQ(err, "") << name << ": " << err;
+        std::set<std::string> keys;
+        for (const auto &req : spec.expand())
+            keys.insert(api::runCacheKey(req, req.accessScale));
+        return keys;
+    };
+    const auto figure4 = keysOf("paper_figure4.spec.json");
+    const auto ablations = keysOf("paper_ablations.spec.json");
+    EXPECT_EQ(ablations.size(), 10u);
+    for (const auto &key : ablations)
+        EXPECT_TRUE(figure4.count(key)) << key;
+}
+
 // ---- Scorecard: validated at load, before any campaign ---------------
 
 TEST(Scorecard, MisspeltUnitFailsInLoad)
 {
     const std::string path = ::testing::TempDir() + "jetty_bad_unit.json";
-    {
+    const auto loadWithUnit = [&path](const std::string &unit) {
         std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs(R"({
+        EXPECT_NE(f, nullptr);
+        if (!f)
+            return std::string("unwritable");
+        std::fputs((R"({
   "jetty_scorecard": 1,
   "specs": {"fig4": "paper_figure4.spec.json"},
   "panels": [{"id": "4a", "title": "t", "spec": "fig4",
-              "value": "filtered_snoops / snoops", "unit": "cnt",
+              "value": "filtered_snoops / snoops", "unit": ")" +
+                    unit + R"(",
               "columns": ["EJ-32x4"]}]
-})",
+})")
+                       .c_str(),
                    f);
         std::fclose(f);
-    }
-    std::string err;
-    api::Scorecard::load(path, &err);
-    EXPECT_EQ(err, "scorecard: panel 4a column EJ-32x4: unit 'cnt' "
-                   "(valid: fraction, percent, count, bytes)");
+        std::string err;
+        api::Scorecard::load(path, &err);
+        return err;
+    };
+    EXPECT_EQ(loadWithUnit("cnt"),
+              "scorecard: panel 4a column EJ-32x4: unit 'cnt' "
+              "(valid: fraction, percent, count, bytes, cycles)");
+    EXPECT_EQ(loadWithUnit("cycle"),
+              "scorecard: panel 4a column EJ-32x4: unit 'cycle' "
+              "(valid: fraction, percent, count, bytes, cycles)");
+    EXPECT_EQ(loadWithUnit("cycles"), "");
 
     // The committed scorecard passes every load-time check.
+    std::string err;
     api::Scorecard::load(
         std::string(JETTY_SOURCE_DIR) + "/examples/paper_scorecard.json",
         &err);

@@ -233,13 +233,20 @@ TEST(RunCacheTest, MergedResultsIdenticalForAnyJobsCount)
     // The acceptance anchor at the experiments layer: a --jobs 4 sweep
     // produces merged filter stats identical to a serial run.
     auto &cache = RunCache::instance();
-    SystemVariant variant;
     const std::vector<std::string> specs{"EJ-32x4", "HJ(IJ-9x4x7,EJ-32x4)"};
+    std::vector<RunRequest> requests;
+    for (const auto &app : trace::paperApps()) {
+        RunRequest req;
+        req.app = app;
+        req.filterSpecs = specs;
+        req.accessScale = 0.01;
+        requests.push_back(std::move(req));
+    }
 
     cache.clear();
-    const auto serial = experiments::runAllApps(variant, specs, 0.01, 1);
+    const auto serial = experiments::runMany(requests, 1);
     cache.clear();
-    const auto parallel = experiments::runAllApps(variant, specs, 0.01, 4);
+    const auto parallel = experiments::runMany(requests, 4);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -322,10 +322,9 @@ enableDiskCache(const std::map<std::string, std::string> &opts)
         cache.setDiskRoot(root);
 }
 
+/** Print @p run's headline and its Report node's filter rows. */
 void
-printRunReport(const experiments::AppRunResult &run,
-               const experiments::SystemVariant &variant,
-               const std::vector<std::string> &specs)
+printRunReport(const experiments::AppRunResult &run, const json::Value &node)
 {
     const auto agg = run.stats.aggregate();
     std::printf("%s: %.1fM refs, L1 %.1f%%, L2 %.1f%%, snoops miss "
@@ -339,21 +338,21 @@ printRunReport(const experiments::AppRunResult &run,
     TextTable table;
     table.header({"filter", "coverage", "snoopE saved(S)", "allE saved(S)",
                   "snoopE saved(P)", "allE saved(P)", "mean snoop lat"});
-    for (const auto &spec : specs) {
-        const auto &fs = run.statsFor(spec);
-        const auto s = experiments::evaluateEnergy(
-            run, variant, spec, energy::AccessMode::Serial);
-        const auto p = experiments::evaluateEnergy(
-            run, variant, spec, energy::AccessMode::Parallel);
-        const auto lat = sim::evaluateLatency(fs);
+    for (const auto &row : node.find("filters")->items()) {
+        const auto saved = [&row](const char *mode, const char *key) {
+            return TextTable::pct(
+                row.find("energy")->find(mode)->find(key)->asDouble());
+        };
         table.row({
-            spec,
-            TextTable::pct(100.0 * fs.coverage()),
-            TextTable::pct(s.reductionOverSnoopsPct),
-            TextTable::pct(s.reductionOverAllPct),
-            TextTable::pct(p.reductionOverSnoopsPct),
-            TextTable::pct(p.reductionOverAllPct),
-            TextTable::num(lat.jettyMeanCycles, 1) + " cyc",
+            row.find("spec")->asString(),
+            TextTable::pct(100.0 * row.find("coverage")->asDouble()),
+            saved("serial", "snoop_reduction_pct"),
+            saved("serial", "all_reduction_pct"),
+            saved("parallel", "snoop_reduction_pct"),
+            saved("parallel", "all_reduction_pct"),
+            TextTable::num(
+                row.find("mean_snoop_latency_cycles")->asDouble(), 1) +
+                " cyc",
         });
     }
     table.print();
@@ -381,9 +380,8 @@ cmdRun(const std::map<std::string, std::string> &opts)
         fatal(err);
 
     const experiments::SystemVariant variant = spec.machine.toVariant();
-    const std::vector<std::string> &specs = result.filterNames;
     const experiments::AppRunResult &run = result.runs[0];
-    printRunReport(run, variant, specs);
+    printRunReport(run, *result.report.find("run"));
 
     if (variant.snoopBuses > 1) {
         // The split-interconnect view: per-bus occupancy, the latency
@@ -888,14 +886,14 @@ cmdTrace(const std::map<std::string, std::string> &opts)
 {
     if (!opts.count("app") || !opts.count("out"))
         fatal("trace needs --app and --out");
-    const unsigned proc = opts.count("proc")
-                              ? static_cast<unsigned>(
-                                    std::atoi(opts.at("proc").c_str()))
-                              : 0;
-    const std::uint64_t limit =
-        opts.count("limit")
-            ? static_cast<std::uint64_t>(std::atoll(opts.at("limit").c_str()))
-            : 1'000'000;
+    unsigned proc = 0;
+    if (opts.count("proc") && !parseUnsigned(opts.at("proc"), proc))
+        fatal("trace --proc needs a processor id, got '" + opts.at("proc") +
+              "'");
+    unsigned limit = 1'000'000;
+    if (opts.count("limit") && !parseUnsigned(opts.at("limit"), limit))
+        fatal("trace --limit needs a reference count, got '" +
+              opts.at("limit") + "'");
 
     trace::Workload workload(trace::appByName(opts.at("app")), 4);
     auto src = workload.makeSource(proc);
@@ -919,13 +917,12 @@ cmdCapture(const std::map<std::string, std::string> &opts)
         if (!parseUnsigned(opts.at("procs"), nprocs) || nprocs < 1)
             fatal("capture --procs needs a count >= 1");
     }
-    const double scale =
-        opts.count("scale") ? std::atof(opts.at("scale").c_str()) : 1.0;
-    const std::uint64_t limit =
-        opts.count("limit")
-            ? static_cast<std::uint64_t>(
-                  std::atoll(opts.at("limit").c_str()))
-            : 0;  // 0 = the profile's full stream
+    double scale = 1.0;
+    overlayScaleFlag(opts, scale);
+    unsigned limit = 0;  // 0 = the profile's full stream
+    if (opts.count("limit") && !parseUnsigned(opts.at("limit"), limit))
+        fatal("capture --limit needs a per-processor reference count, "
+              "got '" + opts.at("limit") + "'");
 
     const trace::Workload workload(trace::appByName(opts.at("app")),
                                    nprocs, scale);
