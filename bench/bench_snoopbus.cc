@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -51,6 +50,7 @@
 #include "trace/apps.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -308,28 +308,23 @@ measure(const trace::AppProfile &profile, double scale, unsigned repeats,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out;
-    unsigned repeats = 3;
-    double scale = 0.5;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-            repeats = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_snoopbus [--smoke] [--out FILE] "
-                         "[--repeat N] [--scale F]\n");
-            return 1;
-        }
+    using K = flags::Kind;
+    const flags::Command cmd{
+        "bench_snoopbus",
+        {},
+        {{"smoke"}, {"out", K::Text, "FILE"}, {"repeat", K::Count, "N", 1},
+         {"scale", K::Positive, "F"}}};
+    flags::Values f;
+    if (const std::string err = flags::parse(cmd, argc, argv, 1, f);
+        !err.empty()) {
+        std::fprintf(stderr, "%s\nusage: %s\n", err.c_str(),
+                     flags::usage(cmd).c_str());
+        return 1;
     }
-    if (repeats < 1)
-        repeats = 1;
+    const bool smoke = f.has("smoke");
+    std::string out = f.text("out");
+    const unsigned repeats = f.count("repeat", 3);
+    double scale = f.number("scale", 0.5);
     if (smoke)
         scale = std::min(scale, 0.05);
     if (out.empty() && !smoke)

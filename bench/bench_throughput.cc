@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,6 +38,7 @@
 #include "util/stats.hh"
 #include "trace/apps.hh"
 #include "trace/synthetic.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
@@ -192,48 +192,41 @@ measure(const trace::AppProfile &profile, unsigned repeats,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out;
-    unsigned repeats = 3;
-    unsigned buses = 1;
-    double scale = 1.0;
-    std::vector<std::string> filters = kDefaultFilters;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-            repeats = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--buses") == 0 && i + 1 < argc) {
-            buses = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--filters") == 0 && i + 1 < argc) {
-            filters = splitFilterList(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_throughput [--smoke] [--out FILE] "
-                         "[--repeat N] [--buses N] [--scale F] "
-                         "[--filters SPEC[,...]]\n");
-            return 1;
-        }
+    using K = flags::Kind;
+    const flags::Command cmd{
+        "bench_throughput",
+        {},
+        {{"smoke"}, {"out", K::Text, "FILE"}, {"repeat", K::Count, "N", 1},
+         {"buses", K::Count, "N", 1}, {"scale", K::Positive, "F"},
+         {"filters", K::Text, "SPEC[,...]"}}};
+    flags::Values f;
+    if (const std::string err = flags::parse(cmd, argc, argv, 1, f);
+        !err.empty()) {
+        std::fprintf(stderr, "%s\nusage: %s\n", err.c_str(),
+                     flags::usage(cmd).c_str());
+        return 1;
     }
-    for (const auto &f : filters) {
-        if (!filter::isValidFilterSpec(f)) {
+    const bool smoke = f.has("smoke");
+    std::string out = f.text("out");
+    const unsigned repeats = f.count("repeat", 3);
+    const unsigned buses = f.count("buses", 1);
+    const double scale = f.number("scale", 1.0);
+    const std::vector<std::string> filters =
+        f.has("filters") ? splitFilterList(f.text("filters"))
+                         : kDefaultFilters;
+    for (const auto &spec : filters) {
+        if (!filter::isValidFilterSpec(spec)) {
             std::fprintf(stderr, "bench_throughput: bad filter spec '%s'\n",
-                         f.c_str());
+                         spec.c_str());
             return 1;
         }
     }
-    if (repeats < 1)
-        repeats = 1;
-    if (buses < 1 || (buses & (buses - 1)) != 0) {
+    if ((buses & (buses - 1)) != 0) {
         std::fprintf(stderr,
                      "bench_throughput: --buses must be a power of two\n");
         return 1;
     }
-    if (scale <= 0.0 || scale > 1.0) {
+    if (scale > 1.0) {
         std::fprintf(stderr, "bench_throughput: --scale must be in (0, 1]\n");
         return 1;
     }

@@ -14,6 +14,7 @@
 #include "trace/trace_file.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace jetty::experiments
 {
@@ -411,11 +412,12 @@ RunCache::RunCache() : impl_(std::make_unique<Impl>())
     // The environment opts a whole process tree in; jetty_cli layers its
     // own default root on top via setDiskRoot().
     if (const char *env = std::getenv("JETTY_CACHE_BYTES")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
+        const std::uint64_t v = parseU64(env).value_or(0);
         if (v > 0)
             impl_->diskBudget = v;
         else
-            warn("ignoring non-positive JETTY_CACHE_BYTES");
+            warn(std::string("ignoring JETTY_CACHE_BYTES='") + env +
+                 "': needs a positive byte count");
     }
     if (const char *env = std::getenv("JETTY_CACHE_DIR")) {
         const std::string root = env;

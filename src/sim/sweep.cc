@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "energy/technology.hh"
 #include "trace/file_stream_source.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace jetty::sim
 {
@@ -15,10 +17,11 @@ unsigned
 SweepRunner::defaultJobs()
 {
     if (const char *env = std::getenv("JETTY_JOBS")) {
-        const int v = std::atoi(env);
-        if (v >= 1)
+        const std::uint64_t v = parseU64(env).value_or(0);
+        if (v >= 1 && v <= std::numeric_limits<unsigned>::max())
             return static_cast<unsigned>(v);
-        warn("ignoring non-positive JETTY_JOBS");
+        warn(std::string("ignoring JETTY_JOBS='") + env +
+             "': needs a count >= 1");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;

@@ -1,6 +1,7 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <charconv>
 
 namespace jetty
 {
@@ -49,6 +50,17 @@ startsWith(const std::string &s, const std::string &prefix)
 {
     return s.size() >= prefix.size() &&
            s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::optional<std::uint64_t>
+parseU64(std::string_view s, int base)
+{
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto r = std::from_chars(s.data(), end, v, base);
+    if (s.empty() || r.ec != std::errc() || r.ptr != end)
+        return std::nullopt;
+    return v;
 }
 
 bool

@@ -7,7 +7,10 @@
 #ifndef JETTY_UTIL_STRING_UTILS_HH
 #define JETTY_UTIL_STRING_UTILS_HH
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace jetty
@@ -22,6 +25,10 @@ std::vector<std::string> splitFilterList(const std::string &s);
 
 /** True when @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
+
+/** Parse an unsigned integer in @p base: digits only, no sign, no
+ *  space, no overflow; nullopt otherwise. */
+std::optional<std::uint64_t> parseU64(std::string_view s, int base = 10);
 
 /** Parse an unsigned decimal integer; returns false on any non-digit. */
 bool parseUnsigned(const std::string &s, unsigned &out);

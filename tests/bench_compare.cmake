@@ -258,4 +258,9 @@ expect_exit(1 ${WORK}/base.json ${WORK}/missing.json)
 expect_exit(1 ${WORK}/base.json ${WORK}/otherkind.json)
 expect_exit(1 ${WORK}/base.json)
 
+# Malformed flag values are usage errors, not a 0% gate or a zero skip
+# budget (atof/atol used to read 'abc' and 'x' as 0).
+expect_exit(1 ${WORK}/base.json ${WORK}/base.json --threshold abc)
+expect_exit(1 ${WORK}/base.json ${WORK}/base.json --max-skips x)
+
 message(STATUS "bench_compare regression-gate contract holds")

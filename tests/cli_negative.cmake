@@ -65,4 +65,28 @@ expect_filter_failure("trace --proc needs"
 expect_filter_failure("trace --limit needs"
                       trace --app lu --out neg.jt --limit 1e3)
 
+# Every command parses against its own flag table: an unknown flag, a
+# flag that belongs to another command, or any flag on a command that
+# takes none fails and lists the command's valid flags, instead of being
+# dropped without a word.
+expect_filter_failure("unknown flag '--filtres' \\(valid: .*--filters"
+                      run --app lu --scale 0.01 --cache-dir off
+                      --filtres EJ-8x2)
+expect_filter_failure("unknown flag '--workers'"
+                      run --app lu --scale 0.001 --workers 2)
+expect_filter_failure("apps: unknown flag '--smoke'"
+                      apps --smoke)
+
+# Numbers parse strictly: trailing garbage is not a number (atof read
+# '0.001xyz' as 0.001 and 'abc' as 0, which turned stealing off), and a
+# negative count is not wrapped to 18 EB.
+expect_filter_failure("capture --scale needs a finite number > 0, got '0.001xyz'"
+                      capture --app lu --out g.jt --scale 0.001xyz --limit 5)
+expect_filter_failure("sweep --steal-after needs a finite number, got 'abc'"
+                      sweep --apps lu --scale 0.001 --steal-after abc)
+expect_filter_failure("submit --timeout needs a finite number > 0, got '5s'"
+                      submit x.json --timeout 5s)
+expect_filter_failure("worker --cache-bytes needs a count >= 1, got '-5'"
+                      worker --cache-dir off --cache-bytes -5)
+
 message(STATUS "jetty_cli negative-path contract holds")

@@ -11,8 +11,12 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <thread>
 
 #include "api/report.hh"
 #include "experiments/experiments.hh"
@@ -68,6 +72,29 @@ sampleJobs()
 TEST(SweepRunner, DefaultJobsIsPositive)
 {
     EXPECT_GE(sim::SweepRunner::defaultJobs(), 1u);
+}
+
+TEST(SweepRunner, MalformedJobsEnvFallsBackToHardwareDefault)
+{
+    // JETTY_JOBS=4x used to read as 4; it must be ignored instead. The
+    // count is hardware + 1 so the garbage-free prefix can never equal
+    // the fallback by accident.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const char *old = std::getenv("JETTY_JOBS");
+    const std::string saved = old ? old : "";
+    const std::string n = std::to_string(hw + 1);
+
+    ::setenv("JETTY_JOBS", (n + "x").c_str(), 1);
+    const unsigned garbage = sim::SweepRunner::defaultJobs();
+    ::setenv("JETTY_JOBS", n.c_str(), 1);
+    const unsigned clean = sim::SweepRunner::defaultJobs();
+    if (old)
+        ::setenv("JETTY_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("JETTY_JOBS");
+
+    EXPECT_EQ(garbage, hw);
+    EXPECT_EQ(clean, hw + 1);
 }
 
 TEST(SweepRunner, SerialAndParallelRunsAreBitIdentical)

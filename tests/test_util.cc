@@ -9,6 +9,7 @@
 #include <set>
 
 #include "util/bits.hh"
+#include "util/flags.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
@@ -262,4 +263,100 @@ TEST(Strings, TrimAndUpper)
     EXPECT_EQ(trim("  hi "), "hi");
     EXPECT_EQ(trim(""), "");
     EXPECT_EQ(toUpper("ba"), "BA");
+}
+
+namespace
+{
+
+/** Parse @p args (after a command name) against @p cmd. */
+std::string
+parseFlags(const flags::Command &cmd, std::vector<std::string> args,
+           flags::Values &out)
+{
+    args.insert(args.begin(), "tool");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    return flags::parse(cmd, static_cast<int>(argv.size()), argv.data(), 1,
+                        out);
+}
+
+const flags::Command kCmd{
+    "cmd",
+    {"FILE"},
+    {{"dry"}, {"procs", flags::Kind::Count, "N", 2},
+     {"bytes", flags::Kind::U64, "N", 1}, {"seed", flags::Kind::Seed, "N"},
+     {"scale", flags::Kind::Positive, "F"}, {"skew", flags::Kind::Number, "S"},
+     {"buses", flags::Kind::Counts, "N[,N...]", 1},
+     {"out", flags::Kind::Text, "FILE"}}};
+
+} // namespace
+
+TEST(Flags, TypedValuesAndDefaults)
+{
+    flags::Values f;
+    ASSERT_EQ(parseFlags(kCmd,
+                         {"in.json", "--dry", "--procs", "8", "--bytes",
+                          "68719476736", "--seed", "0x1F", "--scale", "2.5e-1",
+                          "--skew", "-3", "--buses", "1, 2,4", "--out",
+                          "--looks-like-a-flag", "--procs", "16"},
+                         f),
+              "");
+    EXPECT_EQ(f.args(), std::vector<std::string>{"in.json"});
+    EXPECT_TRUE(f.has("dry"));
+    EXPECT_EQ(f.count("procs", 0), 16u);  // the last one wins
+    EXPECT_EQ(f.u64("bytes", 0), 68719476736ull);
+    EXPECT_EQ(f.u64("seed", 0), 31u);
+    EXPECT_DOUBLE_EQ(f.number("scale", 1), 0.25);
+    EXPECT_DOUBLE_EQ(f.number("skew", 0), -3);
+    EXPECT_EQ(f.counts("buses"), (std::vector<unsigned>{1, 2, 4}));
+    EXPECT_EQ(f.text("out"), "--looks-like-a-flag");
+
+    ASSERT_EQ(parseFlags(kCmd, {"--seed", "010"}, f), "");
+    EXPECT_EQ(f.u64("seed", 0), 8u);  // strtoull's octal form
+    EXPECT_FALSE(f.has("dry"));
+    EXPECT_EQ(f.count("procs", 4), 4u);
+    EXPECT_DOUBLE_EQ(f.number("scale", 1), 1.0);
+    EXPECT_TRUE(f.counts("buses").empty());
+}
+
+TEST(Flags, RejectsWhatTheOldParsersSwallowed)
+{
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"--procs", "1"}, "cmd --procs needs a count >= 2, got '1'"},
+            {{"--procs", "4294967296"}, "got '4294967296'"},
+            {{"--bytes", "-5"}, "cmd --bytes needs a count >= 1, got '-5'"},
+            {{"--bytes", "64MiB"}, "got '64MiB'"},
+            {{"--seed", "-1"}, "cmd --seed needs a 64-bit seed"},
+            {{"--seed", "0x"}, "got '0x'"},
+            {{"--scale", "0.001xyz"}, "got '0.001xyz'"},
+            {{"--scale", "0"}, "needs a finite number > 0, got '0'"},
+            {{"--skew", "inf"}, "cmd --skew needs a finite number, got 'inf'"},
+            {{"--buses", "4,0"}, "cmd --buses needs counts >= 1, got '0'"},
+            {{"--buses", "4,"}, "got ''"},
+            {{"--out"}, "cmd --out needs a value"},
+            {{"--filtres", "x"},
+             "cmd: unknown flag '--filtres' (valid: --dry, --procs, --bytes, "
+             "--seed, --scale, --skew, --buses, --out)"},
+            {{"a", "b"}, "cmd: unexpected argument 'b' (usage: cmd [FILE]"},
+        };
+    for (const auto &[args, want] : cases) {
+        flags::Values f;
+        const std::string err = parseFlags(kCmd, args, f);
+        EXPECT_NE(err.find(want), std::string::npos)
+            << args[0] << ": " << err;
+    }
+}
+
+TEST(Strings, ParseU64)
+{
+    EXPECT_EQ(parseU64("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseU64("1f", 16), 31u);
+    EXPECT_FALSE(parseU64("18446744073709551616"));
+    EXPECT_FALSE(parseU64(""));
+    EXPECT_FALSE(parseU64(" 4"));
+    EXPECT_FALSE(parseU64("4x"));
+    EXPECT_FALSE(parseU64("+4"));
+    EXPECT_FALSE(parseU64("-4"));
 }

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.hh"
 #include "util/json.hh"
 #include "util/table.hh"
 
@@ -164,39 +165,27 @@ stringField(const json::Value &v, const char *key)
 int
 main(int argc, char **argv)
 {
-    std::string baseline_path, fresh_path;
-    double threshold = 10.0;
-    bool ratios_only = false;
-    long max_skips = -1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--ratios-only") == 0) {
-            ratios_only = true;
-        } else if (std::strcmp(argv[i], "--max-skips") == 0 &&
-                   i + 1 < argc) {
-            max_skips = std::atol(argv[++i]);
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr,
-                         "usage: bench_compare BASELINE.json FRESH.json "
-                         "[--threshold PCT] [--ratios-only] "
-                         "[--max-skips N]\n");
-            return 1;
-        } else if (baseline_path.empty()) {
-            baseline_path = argv[i];
-        } else if (fresh_path.empty()) {
-            fresh_path = argv[i];
-        } else {
-            std::fprintf(stderr, "bench_compare: too many files\n");
-            return 1;
-        }
-    }
-    if (fresh_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: bench_compare BASELINE.json FRESH.json "
-                     "[--threshold PCT] [--ratios-only] [--max-skips N]\n");
+    using K = flags::Kind;
+    const flags::Command cmd{
+        "bench_compare",
+        {"BASELINE.json", "FRESH.json"},
+        {{"threshold", K::NonNegative, "PCT"}, {"ratios-only"},
+         {"max-skips", K::Count, "N"}}};
+    flags::Values f;
+    std::string err = flags::parse(cmd, argc, argv, 1, f);
+    if (err.empty() && f.args().size() < 2)
+        err = "bench_compare needs a baseline and a fresh report";
+    if (!err.empty()) {
+        std::fprintf(stderr, "%s\nusage: %s\n", err.c_str(),
+                     flags::usage(cmd).c_str());
         return 1;
     }
+    const std::string &baseline_path = f.args()[0];
+    const std::string &fresh_path = f.args()[1];
+    const double threshold = f.number("threshold", 10.0);
+    const bool ratios_only = f.has("ratios-only");
+    const long max_skips =
+        f.has("max-skips") ? static_cast<long>(f.count("max-skips", 0)) : -1;
 
     const json::Value baseline = loadReport(baseline_path);
     const json::Value fresh = loadReport(fresh_path);

@@ -13,18 +13,21 @@
  * bit-identically with `--spec`. `--json FILE` writes the results as a
  * structured api::Report (schema in DESIGN.md), which echoes the spec.
  *
+ * Each subcommand's flags are one table in main() (util/flags.hh); any
+ * other flag fails. `jetty_cli` alone prints every table.
+ *
  * Usage:
  *   jetty_cli run     [--spec FILE] [--app NAME] [--procs N] [--buses N]
  *                     [--no-subblock] [--scale F]
  *                     [--filters SPEC[,SPEC...]] [--json FILE]
- *                     [--dump-spec]
+ *                     [--dump-spec] [--cache-dir DIR] [--cache-bytes N]
  *   jetty_cli sweep   [--spec FILE] [--apps NAME[,NAME...]|all]
- *                     [--procs N[,M...]] [--buses N[,M...]]
+ *                     [--procs N[,N...]] [--buses N[,N...]]
  *                     [--no-subblock] [--scale F] [--jobs N]
  *                     [--filters SPEC[,SPEC...]] [--json FILE]
- *                     [--dump-spec]
- *                     [--cache-dir DIR] [--workers N] [--retries N]
- *                     [--respawns N] [--steal-after S] [--events FILE]
+ *                     [--dump-spec] [--cache-dir DIR] [--cache-bytes N]
+ *                     [--workers N] [--retries N] [--respawns N]
+ *                     [--steal-after S] [--events FILE]
  *                     [--kill-worker-after N]
  *                     (--procs/--buses are sweep axes: every
  *                     (app, procs, buses) cell of the cross-product;
@@ -36,7 +39,7 @@
  *                     --kill-worker-after K is fault injection: the
  *                     first worker dies mid-shard after K requests)
  *   jetty_cli scorecard FILE [--scale F] [--jobs N] [--cache-dir DIR]
- *                     [--json FILE]
+ *                     [--cache-bytes N] [--json FILE]
  *                     (the paper's figures and tables as committed
  *                     specs, scored against the paper: panels, a
  *                     paper | simulated | delta table, and claims;
@@ -49,11 +52,11 @@
  *                     (records every processor's stream into one
  *                     JTTRACE2 file, one section per processor,
  *                     streamed — the capture never lives in memory)
- *   jetty_cli trace   --app NAME --proc P --out FILE [--limit N]
+ *   jetty_cli trace   --app NAME [--proc P] --out FILE [--limit N]
  *                     (single-processor capture, one-section JTTRACE2)
  *   jetty_cli replay  [--spec FILE] --in FILE[,FILE...]
  *                     [--filters SPEC[,...]] [--procs N] [--json FILE]
- *                     [--dump-spec]
+ *                     [--dump-spec] [--cache-dir DIR] [--cache-bytes N]
  *                     (per-processor files, one multi-section capture,
  *                     or one single-section file cloned everywhere;
  *                     streamed and cached by content digest)
@@ -66,19 +69,19 @@
  *                     clients share one cache)
  *   jetty_cli submit  SPEC.json [--socket PATH] [--json FILE]
  *                     [--timeout S] [--retries N]
- *   jetty_cli submit  --shutdown [--socket PATH]
+ *   jetty_cli submit  --shutdown [--socket PATH] [--timeout S] [--retries N]
  *                     (send one spec to a serve daemon and print its
  *                     cache counters; --json writes the streamed Report
  *                     — bit-identical to what the direct subcommand
  *                     would have written. --timeout/--retries bound the
  *                     connect backoff and the response wait)
- *   jetty_cli worker  [--jobs N] [--cache-dir DIR]
+ *   jetty_cli worker  [--jobs N] [--cache-dir DIR] [--cache-bytes N]
  *                     (distributed-sweep worker: the serve request
  *                     loop on stdin/stdout instead of a socket; spawned
  *                     by `sweep --workers N`, or attach one over any
  *                     stream transport — ssh included)
  *   jetty_cli bench   [--spec FILE] [--app NAME | --in FILE[,FILE...]]
- *                     [--procs N] [--buses N] [--scale F]
+ *                     [--procs N] [--buses N] [--no-subblock] [--scale F]
  *                     [--filters SPEC[,...]] [--batch N] [--repeat K]
  *                     [--json FILE] [--dump-spec]
  *                     (sustained refs/sec of the batched delivery
@@ -106,7 +109,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -136,6 +138,7 @@
 #include "trace/apps.hh"
 #include "trace/file_stream_source.hh"
 #include "trace/trace_file.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
@@ -147,89 +150,41 @@ using namespace jetty;
 namespace
 {
 
-/** Parse "--key value" style options into a map. */
-std::map<std::string, std::string>
-parseOptions(int argc, char **argv, int first)
+/** Load --spec FILE when given, else a default-constructed spec. */
+api::ExperimentSpec
+specFromFlags(const flags::Values &f)
 {
-    std::map<std::string, std::string> opts;
-    for (int i = first; i < argc; ++i) {
-        std::string key = argv[i];
-        if (!startsWith(key, "--"))
-            fatal("expected an option, got '" + key + "'");
-        key = key.substr(2);
-        if (key == "no-subblock" || key == "smoke" || key == "dump-spec" ||
-            key == "shutdown") {
-            opts[key] = "1";
-        } else {
-            if (i + 1 >= argc)
-                fatal("option --" + key + " needs a value");
-            opts[key] = argv[++i];
-        }
-    }
-    return opts;
+    return f.has("spec") ? api::ExperimentSpec::load(f.text("spec"))
+                         : api::ExperimentSpec();
 }
 
-/** Validate @p specs; exits through the registry's describeFailure()
- *  (naming the offending token and its family's grammar) on any bad
- *  spec — no path prints a bare message or falls through with exit 0
- *  (cli negative-path test). */
+/** Overlay --filters onto @p filters (flag wins). A bad spec exits
+ *  through the registry's describeFailure(), naming the offending token
+ *  and its family's grammar (cli negative-path test). */
 void
-requireValidFilters(const std::vector<std::string> &specs)
+overlayFilterFlag(const flags::Values &f, std::vector<std::string> &filters)
 {
-    for (const auto &s : specs) {
+    if (!f.has("filters"))
+        return;
+    filters = splitFilterList(f.text("filters"));
+    for (const auto &s : filters) {
         if (!filter::isValidFilterSpec(s))
             fatal(filter::FilterRegistry::instance().describeFailure(s));
     }
 }
 
-/** Parse a single --buses option (>= 1); @p fallback when absent. */
-unsigned
-busCount(const std::map<std::string, std::string> &opts, unsigned fallback)
-{
-    const auto it = opts.find("buses");
-    if (it == opts.end())
-        return fallback;
-    unsigned v = 0;
-    if (!parseUnsigned(it->second, v) || v < 1)
-        fatal("--buses needs a count >= 1, got '" + it->second + "'");
-    return v;
-}
-
-/** Load --spec FILE when given, else a default-constructed spec. */
-api::ExperimentSpec
-specFromOpts(const std::map<std::string, std::string> &opts)
-{
-    if (opts.count("spec"))
-        return api::ExperimentSpec::load(opts.at("spec"));
-    return api::ExperimentSpec();
-}
-
-/** Overlay --filters onto @p filters (validated; flag wins). */
+/** Replace the spec's workload with --in FILE[,FILE...] when given
+ *  (flags win over the spec's workload wholesale: apps and trace_files
+ *  are mutually exclusive in the schema). */
 void
-overlayFilterFlag(const std::map<std::string, std::string> &opts,
-                  std::vector<std::string> &filters)
+overlayInFlag(const flags::Values &f, api::ExperimentSpec &spec)
 {
-    if (!opts.count("filters"))
+    if (!f.has("in"))
         return;
-    auto specs = splitFilterList(opts.at("filters"));
-    requireValidFilters(specs);
-    filters = specs;
-}
-
-/** Overlay --scale onto @p scale (finite, > 0; flag wins). A NaN
- *  would silently fall back to the default and an infinity would
- *  abort in the JSON emitter, so both are rejected here. */
-void
-overlayScaleFlag(const std::map<std::string, std::string> &opts,
-                 double &scale)
-{
-    if (!opts.count("scale"))
-        return;
-    const double v = std::atof(opts.at("scale").c_str());
-    if (!std::isfinite(v) || v <= 0)
-        fatal("--scale needs a finite value > 0, got '" +
-              opts.at("scale") + "'");
-    scale = v;
+    spec.apps.clear();
+    spec.traceFiles.clear();
+    for (const auto &file : split(f.text("in"), ','))
+        spec.traceFiles.push_back(trim(file));
 }
 
 /**
@@ -238,51 +193,43 @@ overlayScaleFlag(const std::map<std::string, std::string> &opts,
  * sets is resolved by the command's own defaults afterwards.
  */
 void
-overlayCommonFlags(const std::map<std::string, std::string> &opts,
-                   api::ExperimentSpec &spec)
+overlayCommonFlags(const flags::Values &f, api::ExperimentSpec &spec)
 {
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("--procs needs a count >= 2, got '" + opts.at("procs") +
-                  "'");
-        spec.machine.procs = v;
-    }
-    spec.machine.buses = busCount(opts, spec.machine.buses);
-    if (opts.count("no-subblock"))
+    spec.machine.procs = f.count("procs", spec.machine.procs);
+    spec.machine.buses = f.count("buses", spec.machine.buses);
+    if (f.has("no-subblock"))
         spec.machine.subblocked = false;
-    overlayScaleFlag(opts, spec.scale);
-    if (opts.count("app")) {
-        spec.apps = {opts.at("app")};
+    spec.scale = f.number("scale", spec.scale);
+    if (f.has("app")) {
+        spec.apps = {f.text("app")};
         // Flags win over the spec's workload wholesale: an explicit
         // --app must not be silently outvoted by the spec's
         // trace_files (the --in overlay clears apps symmetrically).
         spec.traceFiles.clear();
     }
-    overlayFilterFlag(opts, spec.filters);
+    overlayFilterFlag(f, spec.filters);
 }
 
 /** Print the fully resolved spec and report whether the command should
  *  exit (--dump-spec runs nothing). */
 bool
-dumpSpecRequested(const std::map<std::string, std::string> &opts,
-                  const api::ExperimentSpec &spec)
+dumpSpecRequested(const flags::Values &f, const api::ExperimentSpec &spec)
 {
-    if (!opts.count("dump-spec"))
+    if (!f.has("dump-spec"))
         return false;
     std::fputs(spec.emit().c_str(), stdout);
     return true;
 }
 
-/** Write @p doc to the file option @p key names, if given. */
+/** Write @p doc to the file flag @p key names, if given. */
 void
-writeJsonOpt(const std::map<std::string, std::string> &opts,
-             const json::Value &doc, const char *key = "json")
+writeJsonOpt(const flags::Values &f, const json::Value &doc,
+             const char *key = "json")
 {
-    if (!opts.count(key))
+    if (!f.has(key))
         return;
-    json::writeFile(opts.at(key), doc);
-    std::printf("wrote %s\n", opts.at(key).c_str());
+    json::writeFile(f.text(key), doc);
+    std::printf("wrote %s\n", f.text(key).c_str());
 }
 
 /**
@@ -294,21 +241,13 @@ writeJsonOpt(const std::map<std::string, std::string> &opts,
  * of "off" (flag or env) disables the tier.
  */
 void
-enableDiskCache(const std::map<std::string, std::string> &opts)
+enableDiskCache(const flags::Values &f)
 {
     auto &cache = experiments::RunCache::instance();
-    if (opts.count("cache-bytes")) {
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(opts.at("cache-bytes").c_str(), &end, 10);
-        if (end == opts.at("cache-bytes").c_str() || *end != '\0' ||
-            v == 0)
-            fatal("--cache-bytes needs a positive byte count, got '" +
-                  opts.at("cache-bytes") + "'");
-        cache.setDiskBudget(v);
-    }
-    if (opts.count("cache-dir")) {
-        cache.setDiskRoot(opts.at("cache-dir"));
+    if (f.has("cache-bytes"))
+        cache.setDiskBudget(f.u64("cache-bytes", 0));
+    if (f.has("cache-dir")) {
+        cache.setDiskRoot(f.text("cache-dir"));
         return;
     }
     if (std::getenv("JETTY_CACHE_DIR"))
@@ -359,10 +298,10 @@ printRunReport(const experiments::AppRunResult &run, const json::Value &node)
 }
 
 int
-cmdRun(const std::map<std::string, std::string> &opts)
+cmdRun(const flags::Values &f)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
-    overlayCommonFlags(opts, spec);
+    api::ExperimentSpec spec = specFromFlags(f);
+    overlayCommonFlags(f, spec);
     // Resolution and execution are the service executor's (shared with
     // `serve`, so a served spec resolves and reports exactly as the
     // direct subcommand would); the CLI turns its diagnostics back into
@@ -370,10 +309,10 @@ cmdRun(const std::map<std::string, std::string> &opts)
     std::string err = service::resolveSpec(spec, "run");
     if (!err.empty())
         fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    if (dumpSpecRequested(f, spec))
         return 0;
 
-    enableDiskCache(opts);
+    enableDiskCache(f);
     service::ExecuteResult result;
     err = service::executeResolved(spec, "run", 0, result);
     if (!err.empty())
@@ -418,7 +357,7 @@ cmdRun(const std::map<std::string, std::string> &opts)
         }
     }
 
-    writeJsonOpt(opts, result.report);
+    writeJsonOpt(f, result.report);
     return 0;
 }
 
@@ -501,13 +440,10 @@ printShardEvent(const dist::ShardEvent &ev)
  */
 int
 runDistributedSweep(const api::ExperimentSpec &spec,
-                    const std::map<std::string, std::string> &opts,
+                    const flags::Values &f,
                     unsigned jobs)
 {
-    unsigned workers = 0;
-    if (!parseUnsigned(opts.at("workers"), workers) || workers < 1)
-        fatal("--workers needs a count >= 1, got '" + opts.at("workers") +
-              "'");
+    const unsigned workers = f.count("workers", 0);
 
     // Worker pipes: a worker dying mid-write must surface as EPIPE on
     // the coordinator's send, not kill the coordinator with SIGPIPE.
@@ -515,39 +451,11 @@ runDistributedSweep(const api::ExperimentSpec &spec,
 
     dist::CoordinatorConfig cfg;
     cfg.spawnWorkers = workers;
-    if (opts.count("retries")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("retries"), v))
-            fatal("--retries needs a non-negative count, got '" +
-                  opts.at("retries") + "'");
-        cfg.maxRetries = v;
-    }
-    if (opts.count("respawns")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("respawns"), v))
-            fatal("--respawns needs a non-negative count, got '" +
-                  opts.at("respawns") + "'");
-        cfg.maxRespawns = v;
-    }
-    if (opts.count("steal-after")) {
-        const double v = std::atof(opts.at("steal-after").c_str());
-        if (!std::isfinite(v))
-            fatal("--steal-after needs a finite number of seconds, got '" +
-                  opts.at("steal-after") + "'");
-        cfg.stealAfterSeconds = v;
-    }
+    cfg.maxRetries = f.count("retries", cfg.maxRetries);
+    cfg.maxRespawns = f.count("respawns", cfg.maxRespawns);
+    cfg.stealAfterSeconds = f.number("steal-after", cfg.stealAfterSeconds);
     cfg.eventSink = printShardEvent;
-
-    unsigned long long killAfter = 0;
-    if (opts.count("kill-worker-after")) {
-        char *end = nullptr;
-        killAfter = std::strtoull(opts.at("kill-worker-after").c_str(),
-                                  &end, 10);
-        if (end == opts.at("kill-worker-after").c_str() || *end != '\0' ||
-            killAfter == 0)
-            fatal("--kill-worker-after needs a positive request count, "
-                  "got '" + opts.at("kill-worker-after") + "'");
-    }
+    const std::uint64_t killAfter = f.u64("kill-worker-after", 0);
 
     // Children must attach the exact cache tier the parent resolved
     // (flag > env > default): pass it explicitly so a respawned worker
@@ -556,10 +464,9 @@ runDistributedSweep(const api::ExperimentSpec &spec,
         experiments::RunCache::instance().diskRoot();
 
     auto spawned = std::make_shared<unsigned>(0);
-    cfg.factory = [&opts, &cacheRoot, jobs, killAfter,
+    cfg.factory = [&cacheRoot, jobs, killAfter,
                    spawned](dist::WorkerEndpoint &ep,
                             std::string *err) -> bool {
-        (void)opts;
         int req[2];
         int resp[2];
         // O_CLOEXEC everywhere: a later-forked worker must NOT inherit
@@ -649,30 +556,17 @@ runDistributedSweep(const api::ExperimentSpec &spec,
                 static_cast<unsigned long long>(result.duplicates),
                 result.wallSeconds);
 
-    if (opts.count("events")) {
+    if (f.has("events")) {
         json::Value doc = json::Value::object();
         doc.set("jetty_dist_events", 1);
         json::Value arr = json::Value::array();
         for (const auto &ev : result.events)
             arr.push(ev.toJson());
         doc.set("events", std::move(arr));
-        writeJsonOpt(opts, doc, "events");
+        writeJsonOpt(f, doc, "events");
     }
-    writeJsonOpt(opts, result.report);
+    writeJsonOpt(f, result.report);
     return 0;
-}
-
-/** --jobs N: SweepRunner workers, 0 = the default. A worker knob, not
- *  experiment identity — deliberately not in the spec: results are
- *  jobs-independent. */
-unsigned
-jobsFlag(const std::map<std::string, std::string> &opts)
-{
-    unsigned v = 0;
-    if (opts.count("jobs") && !parseUnsigned(opts.at("jobs"), v))
-        fatal("--jobs needs a non-negative count, got '" + opts.at("jobs") +
-              "'");
-    return v;
 }
 
 /**
@@ -682,13 +576,13 @@ jobsFlag(const std::map<std::string, std::string> &opts)
  * cell concurrently (--jobs) and exactly once.
  */
 int
-cmdSweep(const std::map<std::string, std::string> &opts)
+cmdSweep(const flags::Values &f)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
+    api::ExperimentSpec spec = specFromFlags(f);
 
     // Axis flags (list-valued, so not part of overlayCommonFlags).
-    if (opts.count("apps")) {
-        const std::string app_list = opts.at("apps");
+    if (f.has("apps")) {
+        const std::string &app_list = f.text("apps");
         spec.apps.clear();
         // Flags win over the spec's workload wholesale: expand()
         // prefers trace_files, so an explicit --apps must clear them.
@@ -701,45 +595,31 @@ cmdSweep(const std::map<std::string, std::string> &opts)
                 spec.apps.push_back(trim(name));
         }
     }
-    if (opts.count("procs")) {
-        spec.sweepProcs.clear();
-        for (const auto &n : split(opts.at("procs"), ',')) {
-            unsigned v = 0;
-            if (!parseUnsigned(trim(n), v) || v < 2)
-                fatal("--procs needs counts >= 2, got '" + trim(n) + "'");
-            spec.sweepProcs.push_back(v);
-        }
-    }
-    if (opts.count("buses")) {
-        spec.sweepBuses.clear();
-        for (const auto &n : split(opts.at("buses"), ',')) {
-            unsigned v = 0;
-            if (!parseUnsigned(trim(n), v) || v < 1)
-                fatal("--buses needs counts >= 1, got '" + trim(n) + "'");
-            spec.sweepBuses.push_back(v);
-        }
-    }
-    if (opts.count("no-subblock"))
+    if (f.has("procs"))
+        spec.sweepProcs = f.counts("procs");
+    if (f.has("buses"))
+        spec.sweepBuses = f.counts("buses");
+    if (f.has("no-subblock"))
         spec.machine.subblocked = false;
-    overlayScaleFlag(opts, spec.scale);
-    overlayFilterFlag(opts, spec.filters);
+    spec.scale = f.number("scale", spec.scale);
+    overlayFilterFlag(f, spec.filters);
 
     // Sweep resolution (all-paper-apps default, axis inference) lives
     // in the shared service executor.
     std::string err = service::resolveSpec(spec, "sweep");
     if (!err.empty())
         fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    if (dumpSpecRequested(f, spec))
         return 0;
 
-    const unsigned jobs = jobsFlag(opts);
-    enableDiskCache(opts);
+    const unsigned jobs = f.count("jobs", 0);
+    enableDiskCache(f);
 
     // The distributed fabric: shard the campaign across local worker
     // processes instead of in-process SweepRunner threads. Same Report
     // bytes either way — the branch only changes who simulates.
-    if (opts.count("workers"))
-        return runDistributedSweep(spec, opts, jobs);
+    if (f.has("workers"))
+        return runDistributedSweep(spec, f, jobs);
 
     service::ExecuteResult result;
     err = service::executeResolved(spec, "sweep", jobs, result);
@@ -771,7 +651,7 @@ cmdSweep(const std::map<std::string, std::string> &opts)
                 static_cast<unsigned long long>(std::min(want, simulated)),
                 sweep_seconds > 0 ? sim_refs / 1e6 / sweep_seconds : 0.0);
 
-    writeJsonOpt(opts, result.report);
+    writeJsonOpt(f, result.report);
     return 0;
 }
 
@@ -784,29 +664,27 @@ cmdSweep(const std::map<std::string, std::string> &opts)
  * memory hits. Exit 2 when a gated claim fails.
  */
 int
-cmdScorecard(const std::string &path,
-             const std::map<std::string, std::string> &opts)
+cmdScorecard(const flags::Values &f)
 {
-    if (path.empty())
+    if (f.args().empty())
         fatal("scorecard needs a scorecard file: jetty_cli scorecard FILE "
-              "[--scale F] [--jobs N] [--cache-dir DIR] [--json FILE]");
+              "(jetty_cli alone lists the flags)");
     std::string err;
-    const api::Scorecard card = api::Scorecard::load(path, &err);
+    const api::Scorecard card = api::Scorecard::load(f.args()[0], &err);
     if (!err.empty())
         fatal(err);
 
     std::vector<std::pair<std::string, api::ExperimentSpec>> specs;
-    double scale = -1.0;
-    overlayScaleFlag(opts, scale);
+    const double scale = f.number("scale", -1.0);
     for (const auto &[id, file] : card.specs()) {
         api::ExperimentSpec spec = api::ExperimentSpec::load(file);
-        overlayScaleFlag(opts, spec.scale);
+        spec.scale = f.number("scale", spec.scale);
         if (!(err = service::resolveSpec(spec, "sweep")).empty())
             fatal(id + ": " + err);
         specs.emplace_back(id, std::move(spec));
     }
-    const unsigned jobs = jobsFlag(opts);
-    enableDiskCache(opts);
+    const unsigned jobs = f.count("jobs", 0);
+    enableDiskCache(f);
 
     // Declare every cell up front: one concurrent sweep fills the run
     // cache, and the per-spec Reports below are pure cache hits.
@@ -831,13 +709,13 @@ cmdScorecard(const std::string &path,
     if (!err.empty())
         fatal(err);
     api::Scorecard::print(scored);
-    writeJsonOpt(opts, scored);
+    writeJsonOpt(f, scored);
     return api::Scorecard::failedGates(scored) ? 2 : 0;
 }
 
 /** Enumerate the registered filter families and the paper's specs. */
 int
-cmdFilters()
+cmdFilters(const flags::Values &)
 {
     const auto &registry = filter::FilterRegistry::instance();
 
@@ -866,7 +744,7 @@ cmdFilters()
 }
 
 int
-cmdApps()
+cmdApps(const flags::Values &)
 {
     TextTable table;
     table.header({"tag", "name", "streams", "refs/proc"});
@@ -882,25 +760,16 @@ cmdApps()
 }
 
 int
-cmdTrace(const std::map<std::string, std::string> &opts)
+cmdTrace(const flags::Values &f)
 {
-    if (!opts.count("app") || !opts.count("out"))
+    if (!f.has("app") || !f.has("out"))
         fatal("trace needs --app and --out");
-    unsigned proc = 0;
-    if (opts.count("proc") && !parseUnsigned(opts.at("proc"), proc))
-        fatal("trace --proc needs a processor id, got '" + opts.at("proc") +
-              "'");
-    unsigned limit = 1'000'000;
-    if (opts.count("limit") && !parseUnsigned(opts.at("limit"), limit))
-        fatal("trace --limit needs a reference count, got '" +
-              opts.at("limit") + "'");
-
-    trace::Workload workload(trace::appByName(opts.at("app")), 4);
-    auto src = workload.makeSource(proc);
-    const auto recs = trace::collect(*src, limit);
-    trace::writeTraceFile(opts.at("out"), recs);
+    trace::Workload workload(trace::appByName(f.text("app")), 4);
+    auto src = workload.makeSource(f.count("proc", 0));
+    const auto recs = trace::collect(*src, f.count("limit", 1'000'000));
+    trace::writeTraceFile(f.text("out"), recs);
     std::printf("wrote %zu references to %s\n", recs.size(),
-                opts.at("out").c_str());
+                f.text("out").c_str());
     return 0;
 }
 
@@ -908,25 +777,16 @@ cmdTrace(const std::map<std::string, std::string> &opts)
  *  file. Streams are written in bounded chunks, so a capture of any
  *  length (beyond 4 Gi records, beyond memory) works. */
 int
-cmdCapture(const std::map<std::string, std::string> &opts)
+cmdCapture(const flags::Values &f)
 {
-    if (!opts.count("app") || !opts.count("out"))
+    if (!f.has("app") || !f.has("out"))
         fatal("capture needs --app and --out");
-    unsigned nprocs = 4;
-    if (opts.count("procs")) {
-        if (!parseUnsigned(opts.at("procs"), nprocs) || nprocs < 1)
-            fatal("capture --procs needs a count >= 1");
-    }
-    double scale = 1.0;
-    overlayScaleFlag(opts, scale);
-    unsigned limit = 0;  // 0 = the profile's full stream
-    if (opts.count("limit") && !parseUnsigned(opts.at("limit"), limit))
-        fatal("capture --limit needs a per-processor reference count, "
-              "got '" + opts.at("limit") + "'");
+    const unsigned nprocs = f.count("procs", 4);
+    const unsigned limit = f.count("limit", 0);  // 0 = the full stream
 
-    const trace::Workload workload(trace::appByName(opts.at("app")),
-                                   nprocs, scale);
-    trace::TraceFileWriter writer(opts.at("out"), nprocs);
+    const trace::Workload workload(trace::appByName(f.text("app")), nprocs,
+                                   f.number("scale", 1.0));
+    trace::TraceFileWriter writer(f.text("out"), nprocs);
     std::vector<trace::TraceRecord> buf(64 * 1024);
     for (unsigned p = 0; p < nprocs; ++p) {
         auto src = workload.makeSource(p);
@@ -947,35 +807,23 @@ cmdCapture(const std::map<std::string, std::string> &opts)
     std::printf("captured %llu references (%u per-processor streams) "
                 "to %s\n",
                 static_cast<unsigned long long>(writer.recordsWritten()),
-                nprocs, opts.at("out").c_str());
+                nprocs, f.text("out").c_str());
     return 0;
 }
 
 int
-cmdReplay(const std::map<std::string, std::string> &opts)
+cmdReplay(const flags::Values &f)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
-    if (opts.count("in")) {
-        // Flags win over the spec's workload wholesale (apps and
-        // trace_files are mutually exclusive in the schema).
-        spec.apps.clear();
-        spec.traceFiles.clear();
-        for (const auto &f : split(opts.at("in"), ','))
-            spec.traceFiles.push_back(trim(f));
-    }
-    overlayFilterFlag(opts, spec.filters);
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("replay --procs needs a count >= 2");
-        spec.machine.procs = v;
-    }
+    api::ExperimentSpec spec = specFromFlags(f);
+    overlayInFlag(f, spec);
+    overlayFilterFlag(f, spec.filters);
+    spec.machine.procs = f.count("procs", spec.machine.procs);
     // Resolution (default filters, processor inference from the
     // capture, section rejection) is the shared service executor's.
     std::string err = service::resolveSpec(spec, "replay");
     if (!err.empty())
         fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    if (dumpSpecRequested(f, spec))
         return 0;
 
     // Replays go through the experiment layer: the sources stream from
@@ -983,7 +831,7 @@ cmdReplay(const std::map<std::string, std::string> &opts)
     // by the files' content digests, so repeated replays of one capture
     // simulate once per process — and, with the disk tier, once per
     // machine.
-    enableDiskCache(opts);
+    enableDiskCache(f);
     service::ExecuteResult result;
     err = service::executeResolved(spec, "replay", 0, result);
     if (!err.empty())
@@ -1003,7 +851,7 @@ cmdReplay(const std::map<std::string, std::string> &opts)
     }
     table.print();
 
-    writeJsonOpt(opts, result.report);
+    writeJsonOpt(f, result.report);
     return 0;
 }
 
@@ -1017,30 +865,15 @@ cmdReplay(const std::map<std::string, std::string> &opts)
  * and a percentage, and kept in the JSON as replay_seconds.
  */
 int
-cmdBench(const std::map<std::string, std::string> &opts)
+cmdBench(const flags::Values &f)
 {
     using Clock = std::chrono::steady_clock;
 
-    api::ExperimentSpec spec = specFromOpts(opts);
-    overlayCommonFlags(opts, spec);
-    if (opts.count("in")) {
-        spec.traceFiles.clear();
-        for (const auto &f : split(opts.at("in"), ','))
-            spec.traceFiles.push_back(trim(f));
-        spec.apps.clear();
-    }
-    if (opts.count("batch")) {
-        unsigned batch = 0;
-        if (!parseUnsigned(opts.at("batch"), batch) || batch < 1)
-            fatal("bench --batch needs a count >= 1");
-        spec.machine.batchRefs = batch;
-    }
-    if (opts.count("repeat")) {
-        unsigned repeat = 0;
-        if (!parseUnsigned(opts.at("repeat"), repeat) || repeat < 1)
-            fatal("bench --repeat needs a count >= 1");
-        spec.benchRepeat = repeat;
-    }
+    api::ExperimentSpec spec = specFromFlags(f);
+    overlayCommonFlags(f, spec);
+    overlayInFlag(f, spec);
+    spec.machine.batchRefs = f.count("batch", spec.machine.batchRefs);
+    spec.benchRepeat = f.count("repeat", spec.benchRepeat);
     // Resolution (workload, repeats, filters and scale defaults, replay
     // processor inference) is the shared service executor's; its
     // "bench" kind keeps explicit machine geometry, which bench honours
@@ -1048,7 +881,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
     const std::string err = service::resolveSpec(spec, "bench");
     if (!err.empty())
         fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    if (dumpSpecRequested(f, spec))
         return 0;
 
     sim::SmpConfig cfg = spec.smpConfig();
@@ -1108,7 +941,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
                 refs == 0 ? 0.0 : replayMedian * 1e9 / refs,
                 median > 0 ? 100.0 * replayMedian / median : 0.0);
 
-    if (opts.count("json")) {
+    if (f.has("json")) {
         api::Report report("bench");
         report.echoSpec(spec);
         auto &root = report.root();
@@ -1131,7 +964,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
             root.set("trace_digests",
                      api::Report::traceDigestsNode(spec.traceFiles));
         }
-        writeJsonOpt(opts, report.root());
+        writeJsonOpt(f, report.root());
     }
     return 0;
 }
@@ -1188,67 +1021,33 @@ applySpecToFuzz(const api::ExperimentSpec &spec, verify::FuzzConfig &cfg)
  * batched-path state equivalence, shrink and persist any failure.
  */
 int
-cmdFuzz(const std::map<std::string, std::string> &opts)
+cmdFuzz(const flags::Values &f)
 {
     verify::FuzzConfig cfg;
 
-    if (opts.count("spec"))
-        applySpecToFuzz(api::ExperimentSpec::load(opts.at("spec")), cfg);
+    if (f.has("spec"))
+        applySpecToFuzz(api::ExperimentSpec::load(f.text("spec")), cfg);
 
     // --smoke next: it sets CI-sized defaults that any explicit option
     // below still overrides.
-    if (opts.count("smoke")) {
+    if (f.has("smoke")) {
         cfg.rounds = 64;
         cfg.refsPerProc = 2048;
         cfg.timeBudgetSeconds = 20.0;
     }
 
-    if (opts.count("seed")) {
-        char *end = nullptr;
-        cfg.seed = static_cast<std::uint64_t>(
-            std::strtoull(opts.at("seed").c_str(), &end, 0));
-        if (end == opts.at("seed").c_str() || *end != '\0')
-            fatal("fuzz --seed needs a number, got '" + opts.at("seed") +
-                  "'");
-    }
-    if (opts.count("rounds")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("rounds"), v) || v < 1)
-            fatal("fuzz --rounds needs a count >= 1");
-        cfg.rounds = v;
-    }
-    if (opts.count("refs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("refs"), v) || v < 1)
-            fatal("fuzz --refs needs a count >= 1");
-        cfg.refsPerProc = v;
-    }
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("fuzz --procs needs a count >= 2");
-        cfg.system.nprocs = v;
-    }
-    if (opts.count("buses")) {
+    cfg.seed = f.u64("seed", cfg.seed);
+    cfg.rounds = f.count("rounds", cfg.rounds);
+    cfg.refsPerProc = f.u64("refs", cfg.refsPerProc);
+    cfg.system.nprocs = f.count("procs", cfg.system.nprocs);
+    if (f.has("buses")) {
         // Pin the interconnect instead of cycling through 1/2/4.
-        cfg.system.snoopBuses = busCount(opts, 1);
+        cfg.system.snoopBuses = f.count("buses", 1);
         cfg.randomizeBuses = false;
     }
-    overlayFilterFlag(opts, cfg.system.filterSpecs);
-    if (opts.count("seconds")) {
-        char *end = nullptr;
-        const double v = std::strtod(opts.at("seconds").c_str(), &end);
-        if (end == opts.at("seconds").c_str() || *end != '\0' || v < 0)
-            fatal("fuzz --seconds needs a non-negative number, got '" +
-                  opts.at("seconds") + "'");
-        cfg.timeBudgetSeconds = v;
-    }
-    if (opts.count("audit-every")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("audit-every"), v))
-            fatal("fuzz --audit-every needs a count");
-        cfg.auditEvery = v;
-    }
+    overlayFilterFlag(f, cfg.system.filterSpecs);
+    cfg.timeBudgetSeconds = f.number("seconds", cfg.timeBudgetSeconds);
+    cfg.auditEvery = f.count("audit-every", cfg.auditEvery);
 
     // The effective campaign must itself be expressible as a valid
     // spec (the --dump-spec/--spec contract), so flag values the
@@ -1260,21 +1059,22 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
             fatal(err);
     }
 
-    if (!opts.count("repro") && dumpSpecRequested(opts, specOfFuzz(cfg)))
+    if (!f.has("repro") && dumpSpecRequested(f, specOfFuzz(cfg)))
         return 0;
 
-    if (opts.count("repro")) {
+    if (f.has("repro")) {
+        const std::string &repro = f.text("repro");
         // Replay a persisted repro through the full differential check,
         // on the machine its sidecar recorded — not the default one —
         // so a failure caught under custom filters or geometry cannot
         // falsely replay "clean". Explicit --filters overrides.
-        const auto traces = verify::readReproTraces(opts.at("repro"));
+        const auto traces = verify::readReproTraces(repro);
         if (traces.size() < 2) {
-            fatal("fuzz --repro: '" + opts.at("repro") + "' holds " +
+            fatal("fuzz --repro: '" + repro + "' holds " +
                   std::to_string(traces.size()) +
                   " stream(s); a repro needs one per processor (>= 2)");
         }
-        if (opts.count("procs") &&
+        if (f.has("procs") &&
             cfg.system.nprocs != traces.size()) {
             fatal("fuzz --repro: --procs " +
                   std::to_string(cfg.system.nprocs) +
@@ -1282,9 +1082,9 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                   std::to_string(traces.size()) + " streams");
         }
         api::ExperimentSpec sidecar;
-        if (!verify::readReproConfig(opts.at("repro"), cfg.system,
+        if (!verify::readReproConfig(repro, cfg.system,
                                      &sidecar)) {
-            warn("no complete sidecar " + opts.at("repro") +
+            warn("no complete sidecar " + repro +
                  ".json; replaying under the default configuration");
         }
         // Restore the recorded campaign's fuzz section too (seed and
@@ -1292,44 +1092,43 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
         // campaign that caught the failure rather than the defaults.
         // Flags given explicitly on this invocation still win.
         if (sidecar.hasFuzz) {
-            if (!opts.count("seed"))
+            if (!f.has("seed"))
                 cfg.seed = sidecar.fuzz.seed;
-            if (!opts.count("rounds"))
+            if (!f.has("rounds"))
                 cfg.rounds = sidecar.fuzz.rounds;
-            if (!opts.count("refs"))
+            if (!f.has("refs"))
                 cfg.refsPerProc = sidecar.fuzz.refsPerProc;
-            if (!opts.count("audit-every"))
+            if (!f.has("audit-every"))
                 cfg.auditEvery = sidecar.fuzz.auditEvery;
-            if (!opts.count("seconds"))
+            if (!f.has("seconds"))
                 cfg.timeBudgetSeconds = sidecar.fuzz.seconds;
             cfg.randomizeBuses = sidecar.fuzz.randomizeBuses;
         }
         // Explicit options override what the sidecar restored.
-        overlayFilterFlag(opts, cfg.system.filterSpecs);
-        if (opts.count("buses"))
-            cfg.system.snoopBuses = busCount(opts, 1);
+        overlayFilterFlag(f, cfg.system.filterSpecs);
+        cfg.system.snoopBuses = f.count("buses", cfg.system.snoopBuses);
         cfg.system.nprocs = static_cast<unsigned>(traces.size());
-        if (dumpSpecRequested(opts, specOfFuzz(cfg)))
+        if (dumpSpecRequested(f, specOfFuzz(cfg)))
             return 0;
         const std::string failure = verify::TraceFuzzer::checkOnce(
             cfg.system, traces, cfg.auditEvery, nullptr);
         const bool reproduced = !failure.empty();
         if (reproduced) {
             std::printf("repro %s reproduces:\n  %s\n",
-                        opts.at("repro").c_str(), failure.c_str());
+                        repro.c_str(), failure.c_str());
         } else {
             std::printf("repro %s: clean (%zu streams)\n",
-                        opts.at("repro").c_str(), traces.size());
+                        repro.c_str(), traces.size());
         }
-        if (opts.count("json")) {
+        if (f.has("json")) {
             api::Report report("fuzz");
             report.echoSpec(specOfFuzz(cfg));
             auto &root = report.root();
-            root.set("repro", opts.at("repro"));
+            root.set("repro", repro);
             root.set("reproduced", reproduced);
             if (reproduced)
                 root.set("failure", failure);
-            writeJsonOpt(opts, report.root());
+            writeJsonOpt(f, report.root());
         }
         return reproduced ? 2 : 0;
     }
@@ -1355,7 +1154,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                     result.invariant.c_str(), result.detail.c_str(),
                     static_cast<unsigned long long>(result.records()));
         repro_path =
-            opts.count("out") ? opts.at("out") : std::string("fuzz-repro.jtt");
+            f.has("out") ? f.text("out") : std::string("fuzz-repro.jtt");
         // (writeRepro records the failing round's bus count from the
         // result, and embeds the machine + campaign budgets as an
         // ExperimentSpec.)
@@ -1367,7 +1166,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                     "states bit-exact\n");
     }
 
-    if (opts.count("json")) {
+    if (f.has("json")) {
         api::Report report("fuzz");
         report.echoSpec(specOfFuzz(cfg));
         auto &root = report.root();
@@ -1389,7 +1188,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
             root.set("records", result.records());
             root.set("repro", repro_path);
         }
-        writeJsonOpt(opts, report.root());
+        writeJsonOpt(f, report.root());
     }
     return result.failed ? 2 : 0;
 }
@@ -1406,13 +1205,13 @@ serveSignalHandler(int)
 }
 
 int
-cmdServe(const std::map<std::string, std::string> &opts)
+cmdServe(const flags::Values &f)
 {
     service::ServerConfig cfg;
-    if (opts.count("socket"))
-        cfg.socketPath = opts.at("socket");
-    cfg.jobs = jobsFlag(opts);
-    enableDiskCache(opts);
+    if (f.has("socket"))
+        cfg.socketPath = f.text("socket");
+    cfg.jobs = f.count("jobs", 0);
+    enableDiskCache(f);
 
     service::ExperimentServer server(cfg);
     std::string err = server.start();
@@ -1442,21 +1241,20 @@ cmdServe(const std::map<std::string, std::string> &opts)
  *  mid-shard — after reading its Kth request line, before answering
  *  it. */
 int
-cmdWorker(const std::map<std::string, std::string> &opts)
+cmdWorker(const flags::Values &f)
 {
     // The coordinator may vanish while a response is in flight; EPIPE
     // on the write is the recoverable signal, SIGPIPE is not.
     std::signal(SIGPIPE, SIG_IGN);
 
     dist::WorkerOptions wopts;
-    wopts.jobs = jobsFlag(opts);
-    enableDiskCache(opts);
+    wopts.jobs = f.count("jobs", 0);
+    enableDiskCache(f);
 
     if (const char *die = std::getenv("JETTY_WORKER_DIE_AFTER");
         die && *die) {
-        char *end = nullptr;
-        const unsigned long long after = std::strtoull(die, &end, 10);
-        if (end == die || *end != '\0' || after == 0)
+        const std::uint64_t after = parseU64(die).value_or(0);
+        if (after == 0)
             fatal(std::string("JETTY_WORKER_DIE_AFTER needs a positive "
                               "request count, got '") + die + "'");
         wopts.faultHook = [after](std::uint64_t received) -> bool {
@@ -1474,29 +1272,16 @@ cmdWorker(const std::map<std::string, std::string> &opts)
 }
 
 int
-cmdSubmit(const std::string &specPath,
-          const std::map<std::string, std::string> &opts)
+cmdSubmit(const flags::Values &f)
 {
     const std::string socket =
-        opts.count("socket") ? opts.at("socket") : std::string("jetty.sock");
+        f.has("socket") ? f.text("socket") : std::string("jetty.sock");
 
     service::ClientOptions copts;
-    if (opts.count("timeout")) {
-        const double v = std::atof(opts.at("timeout").c_str());
-        if (!std::isfinite(v) || v <= 0)
-            fatal("--timeout needs a finite number of seconds > 0, "
-                  "got '" + opts.at("timeout") + "'");
-        copts.timeoutSeconds = v;
-    }
-    if (opts.count("retries")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("retries"), v))
-            fatal("--retries needs a non-negative count, got '" +
-                  opts.at("retries") + "'");
-        copts.retries = v;
-    }
+    copts.timeoutSeconds = f.number("timeout", copts.timeoutSeconds);
+    copts.retries = f.count("retries", copts.retries);
 
-    if (opts.count("shutdown")) {
+    if (f.has("shutdown")) {
         json::Value resp;
         std::string err = service::requestResponse(
             socket, service::makeRequest("shutdown"), resp, copts);
@@ -1506,10 +1291,10 @@ cmdSubmit(const std::string &specPath,
         return 0;
     }
 
-    if (specPath.empty())
+    if (f.args().empty())
         fatal("submit needs a spec file: jetty_cli submit SPEC.json "
-              "[--socket PATH] [--json FILE] [--timeout S] [--retries N]");
-    api::ExperimentSpec spec = api::ExperimentSpec::load(specPath);
+              "(jetty_cli alone lists the flags)");
+    api::ExperimentSpec spec = api::ExperimentSpec::load(f.args()[0]);
 
     json::Value resp;
     std::string err = service::requestResponse(
@@ -1541,11 +1326,11 @@ cmdSubmit(const std::string &specPath,
                 static_cast<unsigned long long>(
                     memHits && memHits->isNumber() ? memHits->asU64() : 0));
 
-    if (opts.count("json")) {
+    if (f.has("json")) {
         const json::Value *report = resp.find("report");
         if (!report)
             fatal("server response carries no report");
-        writeJsonOpt(opts, *report);
+        writeJsonOpt(f, *report);
     }
     return 0;
 }
@@ -1555,48 +1340,93 @@ cmdSubmit(const std::string &specPath,
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: jetty_cli run|sweep|apps|filters|"
-                             "capture|trace|replay|serve|submit|worker|"
-                             "bench|fuzz|scorecard [options]\n"
-                             "       (run/sweep/replay/bench/fuzz accept "
-                             "--spec FILE / --dump-spec / --json FILE;\n"
-                             "        submit takes a positional SPEC.json, "
-                             "scorecard a positional FILE)\n");
-        return 1;
+    using K = flags::Kind;
+    const flags::Flag spec{"spec", K::Text, "FILE"};
+    const flags::Flag json{"json", K::Text, "FILE"};
+    const flags::Flag dump{"dump-spec"};
+    const flags::Flag app{"app", K::Text, "NAME"};
+    const flags::Flag in{"in", K::Text, "FILE[,FILE...]"};
+    const flags::Flag out{"out", K::Text, "FILE"};
+    const flags::Flag procs{"procs", K::Count, "N", 2};
+    const flags::Flag buses{"buses", K::Count, "N", 1};
+    const flags::Flag noSubblock{"no-subblock"};
+    const flags::Flag scale{"scale", K::Positive, "F"};
+    const flags::Flag filters{"filters", K::Text, "SPEC[,SPEC...]"};
+    const flags::Flag jobs{"jobs", K::Count, "N"};
+    const flags::Flag cacheDir{"cache-dir", K::Text, "DIR"};
+    const flags::Flag cacheBytes{"cache-bytes", K::U64, "N", 1};
+    const flags::Flag socket{"socket", K::Text, "PATH"};
+    const flags::Flag retries{"retries", K::Count, "N"};
+    const flags::Flag limit{"limit", K::Count, "N"};
+    struct Subcommand
+    {
+        flags::Command cmd;
+        int (*run)(const flags::Values &);
+    };
+    // Each command's whole flag table: any other flag is rejected.
+    const std::vector<Subcommand> commands = {
+        {{"run", {},
+          {spec, app, procs, buses, noSubblock, scale, filters, json, dump,
+           cacheDir, cacheBytes}},
+         cmdRun},
+        {{"sweep", {},
+          {spec, {"apps", K::Text, "NAME[,NAME...]|all"},
+           {"procs", K::Counts, "N[,N...]", 2},
+           {"buses", K::Counts, "N[,N...]", 1}, noSubblock, scale, jobs,
+           filters, json, dump, cacheDir, cacheBytes,
+           {"workers", K::Count, "N", 1}, retries,
+           {"respawns", K::Count, "N"}, {"steal-after", K::Number, "S"},
+           {"events", K::Text, "FILE"},
+           {"kill-worker-after", K::U64, "N", 1}}},
+         cmdSweep},
+        {{"scorecard", {"FILE"}, {scale, jobs, cacheDir, cacheBytes, json}},
+         cmdScorecard},
+        {{"apps", {}, {}}, cmdApps},
+        {{"filters", {}, {}}, cmdFilters},
+        {{"capture", {},
+          {app, out, {"procs", K::Count, "N", 1}, scale, limit}},
+         cmdCapture},
+        {{"trace", {}, {app, {"proc", K::Count, "P"}, out, limit}}, cmdTrace},
+        {{"replay", {},
+          {spec, in, filters, procs, json, dump, cacheDir, cacheBytes}},
+         cmdReplay},
+        {{"serve", {}, {socket, jobs, cacheDir, cacheBytes}}, cmdServe},
+        {{"submit", {"SPEC.json"},
+          {socket, json, {"timeout", K::Positive, "S"}, retries,
+           {"shutdown"}}},
+         cmdSubmit},
+        {{"worker", {}, {jobs, cacheDir, cacheBytes}}, cmdWorker},
+        {{"bench", {},
+          {spec, app, in, procs, buses, noSubblock, scale, filters,
+           {"batch", K::Count, "N", 1}, {"repeat", K::Count, "K", 1}, json,
+           dump}},
+         cmdBench},
+        {{"fuzz", {},
+          {spec, {"seed", K::Seed, "N"}, {"rounds", K::Count, "N", 1},
+           {"refs", K::Count, "N", 1}, procs, buses, filters,
+           {"seconds", K::NonNegative, "S"}, {"smoke"},
+           {"audit-every", K::Count, "N"}, out, json,
+           {"repro", K::Text, "FILE"}, dump}},
+         cmdFuzz},
+    };
+
+    const std::string name = argc >= 2 ? argv[1] : "";
+    for (const auto &sub : commands) {
+        if (sub.cmd.name != name)
+            continue;
+        flags::Values f;
+        const std::string err = flags::parse(sub.cmd, argc, argv, 2, f);
+        if (!err.empty())
+            fatal(err);
+        return sub.run(f);
     }
-    const std::string cmd = argv[1];
-    if (cmd == "submit" || cmd == "scorecard") {
-        // The file is positional: jetty_cli submit SPEC.json,
-        // jetty_cli scorecard FILE.
-        const bool hasPath = argc >= 3 && argv[2][0] != '-';
-        const auto opts = parseOptions(argc, argv, hasPath ? 3 : 2);
-        const std::string path = hasPath ? argv[2] : "";
-        return cmd == "submit" ? cmdSubmit(path, opts)
-                               : cmdScorecard(path, opts);
+    if (!name.empty())
+        std::fprintf(stderr, "jetty_cli: unknown command '%s'\n",
+                     name.c_str());
+    std::fprintf(stderr, "usage:\n");
+    for (const auto &sub : commands) {
+        std::fprintf(stderr, "  jetty_cli %s\n",
+                     flags::usage(sub.cmd).c_str());
     }
-    const auto opts = parseOptions(argc, argv, 2);
-    if (cmd == "run")
-        return cmdRun(opts);
-    if (cmd == "sweep")
-        return cmdSweep(opts);
-    if (cmd == "apps")
-        return cmdApps();
-    if (cmd == "filters")
-        return cmdFilters();
-    if (cmd == "capture")
-        return cmdCapture(opts);
-    if (cmd == "trace")
-        return cmdTrace(opts);
-    if (cmd == "replay")
-        return cmdReplay(opts);
-    if (cmd == "serve")
-        return cmdServe(opts);
-    if (cmd == "worker")
-        return cmdWorker(opts);
-    if (cmd == "bench")
-        return cmdBench(opts);
-    if (cmd == "fuzz")
-        return cmdFuzz(opts);
-    fatal("unknown command '" + cmd + "'");
+    return 1;
 }
